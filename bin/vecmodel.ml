@@ -1022,7 +1022,13 @@ let report_cmd =
             let r = Experiment.a6 () in
             Printf.printf "A6: memory-model agreement %d / %d on %s\n"
               r.Experiment.a6_agreeing r.Experiment.a6_total
-              r.Experiment.a6_machine
+              r.Experiment.a6_machine;
+            List.iter
+              (fun (row : Experiment.a6_row) ->
+                Printf.printf "A6 %s analytic %s simulated %s bytes/elem %.6f %b\n"
+                  row.a6_name row.a6_analytic row.a6_simulated
+                  row.a6_bytes_per_elem row.a6_agrees)
+              r.Experiment.a6_rows
         | "a7" ->
             let r = Experiment.a7 () in
             List.iter

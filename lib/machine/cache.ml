@@ -10,15 +10,26 @@ type config = {
   line_bytes : int;
 }
 
+(* One flat array per field, indexed [set * ways + way].  Power-of-two line
+   sizes and set counts decode addresses with shifts and a mask ([*_shift]
+   is -1 otherwise). *)
 type t = {
   cfg : config;
   sets : int;
-  tags : int array array;  (* tags.(set).(way); -1 = invalid *)
-  age : int array array;  (* LRU stamps *)
+  tags : int array;  (* -1 = invalid *)
+  age : int array;  (* LRU stamps *)
+  line_shift : int;
+  set_shift : int;
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
 }
+
+let log2_exact x =
+  if x land (x - 1) <> 0 then -1
+  else
+    let rec go k = if 1 lsl k = x then k else go (k + 1) in
+    go 0
 
 let create cfg =
   if cfg.size_bytes <= 0 || cfg.ways <= 0 || cfg.line_bytes <= 0 then
@@ -30,8 +41,10 @@ let create cfg =
   {
     cfg;
     sets;
-    tags = Array.make_matrix sets cfg.ways (-1);
-    age = Array.make_matrix sets cfg.ways 0;
+    tags = Array.make (sets * cfg.ways) (-1);
+    age = Array.make (sets * cfg.ways) 0;
+    line_shift = log2_exact cfg.line_bytes;
+    set_shift = log2_exact sets;
     clock = 0;
     accesses = 0;
     misses = 0;
@@ -44,31 +57,41 @@ let hits t = t.accesses - t.misses
 let miss_rate t =
   if t.accesses = 0 then 0.0 else float_of_int t.misses /. float_of_int t.accesses
 
-(* Touch one byte address; returns true on hit.  Misses install the line. *)
+(* Touch one byte address; returns true on hit.  Misses install the line.
+   Negative addresses decode with truncating [/] and [mod], exactly as a
+   non-power-of-two geometry does; a negative set index is out of bounds. *)
 let access t addr =
   t.clock <- t.clock + 1;
   t.accesses <- t.accesses + 1;
-  let line = addr / t.cfg.line_bytes in
-  let set = line mod t.sets in
-  let tag = line / t.sets in
-  let tags = t.tags.(set) and age = t.age.(set) in
-  let hit_way = ref (-1) in
-  for w = 0 to t.cfg.ways - 1 do
-    if tags.(w) = tag then hit_way := w
+  let line =
+    if t.line_shift >= 0 && addr >= 0 then addr lsr t.line_shift
+    else addr / t.cfg.line_bytes
+  in
+  let shift = t.set_shift >= 0 && line >= 0 in
+  let set = if shift then line land (t.sets - 1) else line mod t.sets in
+  let tag = if shift then line lsr t.set_shift else line / t.sets in
+  if set < 0 then invalid_arg "index out of bounds";
+  let ways = t.cfg.ways in
+  let first = set * ways in
+  let tags = t.tags and age = t.age in
+  (* The last matching way hits: scan down and stop at the first match. *)
+  let w = ref (first + ways - 1) in
+  while !w >= first && Array.unsafe_get tags !w <> tag do
+    decr w
   done;
-  if !hit_way >= 0 then begin
-    age.(!hit_way) <- t.clock;
+  if !w >= first then begin
+    Array.unsafe_set age !w t.clock;
     true
   end
   else begin
     t.misses <- t.misses + 1;
-    (* Evict the least recently used way. *)
-    let victim = ref 0 in
-    for w = 1 to t.cfg.ways - 1 do
-      if age.(w) < age.(!victim) then victim := w
+    (* Evict the least recently used way (the lowest index on ties). *)
+    let victim = ref first in
+    for w = first + 1 to first + ways - 1 do
+      if Array.unsafe_get age w < Array.unsafe_get age !victim then victim := w
     done;
-    tags.(!victim) <- tag;
-    age.(!victim) <- t.clock;
+    Array.unsafe_set tags !victim tag;
+    Array.unsafe_set age !victim t.clock;
     false
   end
 

@@ -1,6 +1,13 @@
 (* Trace-driven cache simulation: replay a kernel's exact element accesses
-   (captured from the reference interpreter) through a cache hierarchy built
-   from a machine's memory parameters.
+   through a cache hierarchy built from a machine's memory parameters.
+
+   Kernels whose every access is affine need no execution at all: the
+   lowered program's access descriptors give each access's address as a
+   constant plus per-loop-depth coefficients, so the address stream is
+   generated straight from the loop nest.  Gather/scatter kernels, and any
+   kernel the stream path cannot prove trap-free, replay the reference
+   interpreter's trace instead.  Both paths feed the same accesses in the
+   same order, so their statistics are identical.
 
    This validates the analytic [Memmodel]: the level it picks from the
    working-set size should match where the simulated hierarchy actually
@@ -10,31 +17,29 @@ open Vir
 
 (* Lay the kernel's arrays out contiguously (16-line gaps between arrays so
    they do not share boundary lines), and map (array, element) to a byte
-   address. *)
-type layout = {
-  bases : (string * int) list;
-  elt_bytes : (string * int) list;
-}
+   address.  The table maps an array name to its (base, element bytes). *)
+type layout = (string, int * int) Hashtbl.t
 
 let layout ~n ~line_bytes (k : Kernel.t) =
   let gap = 16 * line_bytes in
-  let next = ref 0 in
-  let bases, elts =
-    List.fold_left
-      (fun (bases, elts) (d : Kernel.array_decl) ->
-        let eb = Types.size_bytes d.arr_ty in
-        let bytes = Kernel.extent_elems ~n d.arr_extent * eb in
-        let base = !next in
-        next := base + bytes + gap;
-        ((d.arr_name, base) :: bases, (d.arr_name, eb) :: elts))
-      ([], []) k.arrays
-  in
-  { bases; elt_bytes = elts }
+  let tbl = Hashtbl.create 8 in
+  ignore
+    (List.fold_left
+       (fun next (d : Kernel.array_decl) ->
+         let eb = Types.size_bytes d.arr_ty in
+         Hashtbl.replace tbl d.arr_name (next, eb);
+         next + (Kernel.extent_elems ~n d.arr_extent * eb) + gap)
+       0 k.arrays);
+  tbl
+
+let placement l arr =
+  match Hashtbl.find_opt l arr with
+  | Some be -> be
+  | None -> invalid_arg (Printf.sprintf "Tracesim.address: unknown array %s" arr)
 
 let address l ~arr ~idx =
-  match (List.assoc_opt arr l.bases, List.assoc_opt arr l.elt_bytes) with
-  | Some base, Some eb -> base + (idx * eb)
-  | _ -> invalid_arg (Printf.sprintf "Tracesim.address: unknown array %s" arr)
+  let base, eb = placement l arr in
+  base + (idx * eb)
 
 type stats = {
   total_accesses : int;
@@ -54,32 +59,36 @@ let hierarchy_of (mem : Descr.mem) =
       { Cache.size_bytes = mem.l3_bytes; ways = 16; line_bytes = mem.line_bytes } ]
   else [ l1; l2 ]
 
-(* Run the scalar kernel at size [n] with every access fed through the
-   hierarchy.  A first untimed pass warms the caches (measurements in the
-   paper are steady-state over many repetitions); the second pass counts. *)
-let simulate ?(seed = 42) (mem : Descr.mem) ~n (k : Kernel.t) =
-  let env = Vinterp.Env.create ~seed ~n k in
-  let l = layout ~n ~line_bytes:mem.line_bytes k in
+(* A hierarchy being driven, with the access and memory-access counters of
+   the current pass. *)
+type sim = {
+  h : Cache.hierarchy;
+  nlevels : int;
+  mutable total : int;
+  mutable dram : int;
+}
+
+let new_sim (mem : Descr.mem) =
   let h = Cache.hierarchy (hierarchy_of mem) in
-  let total = ref 0 in
-  let dram = ref 0 in
-  let nlevels = List.length h.Cache.levels in
-  Vinterp.Env.set_trace env (fun arr idx _write ->
-      incr total;
-      let lvl = Cache.hierarchy_access h (address l ~arr ~idx) in
-      if lvl >= nlevels then incr dram);
-  (* Warm-up pass. *)
-  ignore (Vinterp.Interp.run_in env k);
-  List.iter Cache.reset_stats h.Cache.levels;
-  total := 0;
-  dram := 0;
-  (* Measured pass. *)
-  ignore (Vinterp.Interp.run_in env k);
-  Vinterp.Env.clear_trace env;
+  { h; nlevels = List.length h.Cache.levels; total = 0; dram = 0 }
+
+let touch s addr =
+  s.total <- s.total + 1;
+  if Cache.hierarchy_access s.h addr >= s.nlevels then s.dram <- s.dram + 1
+
+(* Run [pass] twice: a first untimed pass warms the caches (measurements in
+   the paper are steady-state over many repetitions); the second counts. *)
+let run_passes (mem : Descr.mem) ~n (k : Kernel.t) s pass =
+  pass ();
+  List.iter Cache.reset_stats s.h.Cache.levels;
+  s.total <- 0;
+  s.dram <- 0;
+  pass ();
   let iters = float_of_int (max 1 (Kernel.total_iterations ~n k)) in
-  let levels =
+  let levels = Cache.level_stats s.h in
+  let per_level =
     List.mapi
-      (fun i c ->
+      (fun i (accs, misses) ->
         let lvl =
           match i with
           | 0 -> Memmodel.L1
@@ -87,19 +96,134 @@ let simulate ?(seed = 42) (mem : Descr.mem) ~n (k : Kernel.t) =
           | 2 -> Memmodel.L3
           | _ -> Memmodel.Dram
         in
-        (lvl, Cache.accesses c, Cache.misses c))
-      h.Cache.levels
+        (lvl, accs, misses))
+      levels
   in
   let last_level_misses =
-    match List.rev h.Cache.levels with c :: _ -> Cache.misses c | [] -> 0
+    match List.rev levels with (_, misses) :: _ -> misses | [] -> 0
   in
   {
-    total_accesses = !total;
-    per_level = levels;
-    dram_accesses = !dram;
+    total_accesses = s.total;
+    per_level;
+    dram_accesses = s.dram;
     bytes_moved_per_elem =
       float_of_int (last_level_misses * mem.line_bytes) /. iters;
   }
+
+(* The reference: run the scalar interpreter with every access it makes fed
+   through the hierarchy.  An out-of-range access is simulated, then raises
+   [Env.Out_of_bounds] from the interpreter. *)
+let simulate_traced ?(seed = 42) (mem : Descr.mem) ~n (k : Kernel.t) =
+  let env = Vinterp.Env.create ~seed ~n k in
+  let l = layout ~n ~line_bytes:mem.line_bytes k in
+  let s = new_sim mem in
+  Vinterp.Env.set_trace env (fun arr idx _write -> touch s (address l ~arr ~idx));
+  let st =
+    run_passes mem ~n k s (fun () -> ignore (Vinterp.Interp.run_in env k))
+  in
+  Vinterp.Env.clear_trace env;
+  st
+
+(* The affine address stream of a kernel, in byte units: each access's
+   address at the first iteration, its increment per iteration of each
+   loop, and each loop's trip count.  Accesses are in body order. *)
+type stream = {
+  start : int array;  (* per access *)
+  incs : int array array;  (* per loop depth, per access *)
+  trips : int array;  (* per loop depth *)
+}
+
+(* The stream of [k] at size [n], or [None] when the kernel must run on the
+   interpreter: an integer division (its divisor may be zero), a loop that
+   never terminates, an indirect access or another trap site in the lowered
+   program, or an affine access not proven in range over the whole nest.
+   Those are the cases where the interpreter could stop partway through its
+   trace. *)
+let stream_of ?seed ~n ~line_bytes (k : Kernel.t) =
+  let int_division = function
+    | Instr.Bin { ty; op = Op.Div | Op.Rem; _ } -> not (Types.is_float ty)
+    | _ -> false
+  in
+  let endless (l : Kernel.loop) = l.step <= 0 && l.start < Kernel.trip_bound ~n l.trip in
+  if List.exists int_division k.body || List.exists endless k.loops then None
+  else
+    match Vexec.Program.lower k with
+    | exception Invalid_argument _ -> None
+    | prog
+      when Array.length prog.traps > 0
+           || Array.exists (fun (a : Vexec.Program.access) -> a.acc_ind >= 0) prog.accesses
+      ->
+        None
+    | prog ->
+        (* The bind-time access constants and array lengths the closure tier
+           uses, from an environment that aliases the shared initial buffers
+           (nothing is copied, nothing is written). *)
+        let st = Vexec.Flat.create prog in
+        Vexec.Flat.bind st (Vinterp.Env.create ?seed ~readonly:(fun _ -> true) ~n k);
+        if not (Vexec.Closure.affine_safe st) then None
+        else begin
+          let l = layout ~n ~line_bytes k in
+          let trips =
+            Array.mapi
+              (fun d (lp : Vexec.Program.loopdesc) ->
+                let span = st.bounds.(d) - lp.l_start in
+                if span <= 0 then 0 else (span + lp.l_step - 1) / lp.l_step)
+              prog.loops
+          in
+          let incs = Array.map (fun _ -> Array.make (Array.length prog.accesses) 0) prog.loops in
+          let start =
+            Array.mapi
+              (fun a (acc : Vexec.Program.access) ->
+                let base, eb = placement l acc.acc_name in
+                let addr = ref (base + (eb * st.acc_const.(a))) in
+                Array.iteri
+                  (fun j c ->
+                    let d = st.acc_depth.(a).(j) in
+                    incs.(d).(a) <- eb * c * prog.loops.(d).l_step;
+                    addr := !addr + (eb * c * prog.loops.(d).l_start))
+                  st.acc_coeff.(a);
+                !addr)
+              prog.accesses
+          in
+          Some { start; incs; trips }
+        end
+
+(* Walk the nest and touch every access in body order at every innermost
+   iteration: addresses advance by their per-loop increment and rewind when
+   a loop completes. *)
+let replay s { start; incs; trips } =
+  let nacc = Array.length start in
+  let nloops = Array.length trips in
+  let pos = Array.copy start in
+  let rec walk d =
+    if d = nloops then
+      for a = 0 to nacc - 1 do
+        touch s pos.(a)
+      done
+    else begin
+      let inc = incs.(d) and t = trips.(d) in
+      for _ = 1 to t do
+        walk (d + 1);
+        for a = 0 to nacc - 1 do
+          pos.(a) <- pos.(a) + inc.(a)
+        done
+      done;
+      for a = 0 to nacc - 1 do
+        pos.(a) <- pos.(a) - (inc.(a) * t)
+      done
+    end
+  in
+  walk 0
+
+let streams ?seed (mem : Descr.mem) ~n k =
+  Option.is_some (stream_of ?seed ~n ~line_bytes:mem.line_bytes k)
+
+let simulate ?seed (mem : Descr.mem) ~n (k : Kernel.t) =
+  match stream_of ?seed ~n ~line_bytes:mem.line_bytes k with
+  | None -> simulate_traced ?seed mem ~n k
+  | Some stream ->
+      let s = new_sim mem in
+      run_passes mem ~n k s (fun () -> replay s stream)
 
 (* The level the stream actually lives in: one past the deepest level with a
    non-trivial steady-state miss rate.  The 2% threshold sits below the 6.25%

@@ -4,9 +4,11 @@
 
 type layout
 
-(** Contiguous array layout with inter-array gaps. *)
+(** Contiguous array layout with inter-array gaps, indexed by array name. *)
 val layout : n:int -> line_bytes:int -> Vir.Kernel.t -> layout
 
+(** Byte address of element [idx] of [arr].
+    @raise Invalid_argument for an array the kernel does not declare. *)
 val address : layout -> arr:string -> idx:int -> int
 
 type stats = {
@@ -19,11 +21,28 @@ type stats = {
 
 val hierarchy_of : Descr.mem -> Cache.config list
 
-(** Run the scalar kernel once at size [n] with every access simulated. *)
+(** Simulate every access of the scalar kernel at size [n]: a warm-up pass
+    over the whole nest, then a measured pass whose accesses are counted.
+    Kernels whose accesses are all affine and provably in range generate
+    their address stream from the loop nest without executing the body;
+    the rest replay the reference interpreter's trace
+    ({!simulate_traced}).  The result is the same either way.
+    @raise Vinterp.Env.Out_of_bounds on an out-of-range access, as the
+    interpreter does. *)
 val simulate : ?seed:int -> Descr.mem -> n:int -> Vir.Kernel.t -> stats
 
-(** The deepest level whose local miss rate exceeds 10%: where the stream
-    actually lives. *)
+(** The reference: the same two passes with every access taken from the
+    tree-walking interpreter's trace ({!Vinterp.Env.set_trace}).  Slow;
+    the differential tests hold {!simulate} to it. *)
+val simulate_traced : ?seed:int -> Descr.mem -> n:int -> Vir.Kernel.t -> stats
+
+(** Whether {!simulate} generates [k]'s address stream from the loop nest
+    ([true]) or replays the interpreter's trace ([false]). *)
+val streams : ?seed:int -> Descr.mem -> n:int -> Vir.Kernel.t -> bool
+
+(** One past the deepest level whose local miss rate exceeds 2%: where the
+    stream actually lives.  2% sits below the 6.25% compulsory miss rate of
+    a unit-stride f32 stream and above warm-cache noise. *)
 val dominant_level : stats -> Memmodel.level
 
 val level_rank : Memmodel.level -> int

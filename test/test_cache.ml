@@ -146,6 +146,166 @@ let test_agreement_whole_suite () =
         (T.agrees ~analytic ~simulated:(T.dominant_level s)))
     Tsvc.Registry.all
 
+(* --- stream path vs the interpreter-traced reference ---------------------- *)
+
+let all_affine (k : Vir.Kernel.t) =
+  List.for_all
+    (function
+      | Vir.Instr.Load { addr = Vir.Instr.Indirect _; _ }
+      | Vir.Instr.Store { addr = Vir.Instr.Indirect _; _ } -> false
+      | _ -> true)
+    k.body
+
+let same_as_traced mem ~n k =
+  let name = Printf.sprintf "%s n=%d" k.Vir.Kernel.name n in
+  check (name ^ " streams iff all accesses are affine") (all_affine k)
+    (T.streams mem ~n k);
+  let s = T.simulate mem ~n k in
+  check (name ^ " stats equal the traced reference") true
+    (s = T.simulate_traced mem ~n k);
+  s
+
+let test_stream_matches_traced () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (e : Tsvc.Registry.entry) -> ignore (same_as_traced mem ~n e.kernel))
+        Tsvc.Registry.all)
+    [ 257; 1000; 8000 ]
+
+(* The same on a three-level hierarchy, and past the last level, where
+   [bytes_moved_per_elem] is no longer zero. *)
+let test_stream_matches_traced_deep () =
+  let xeon = Vmachine.Machines.xeon_avx2.Vmachine.Descr.mem in
+  List.iter
+    (fun (e : Tsvc.Registry.entry) -> ignore (same_as_traced xeon ~n:1000 e.kernel))
+    Tsvc.Registry.all;
+  List.iter
+    (fun name ->
+      let s = same_as_traced mem ~n:400_000 (kern name) in
+      check (name ^ " misses the last level") true (s.T.bytes_moved_per_elem > 0.0))
+    [ "va"; "s000"; "s119" ]
+
+(* An affine subscript one past the end: the interpreter traces the access
+   and then traps, and the stream path must not swallow that. *)
+let test_stream_out_of_bounds_traps () =
+  let module B = Vir.Builder in
+  let b = B.make "oob_affine" in
+  let i = B.loop b "i" Vir.Kernel.Tn in
+  B.declare b ~extent:(Vir.Kernel.Lin (1, 0)) "b";
+  B.store b "a" [ B.ix i ] (B.load b "b" [ B.ix ~off:1 i ]);
+  let k = B.finish b in
+  check "not streamed" false (T.streams mem ~n:64 k);
+  Alcotest.check_raises "simulate traps" (Vinterp.Env.Out_of_bounds ("b", 64))
+    (fun () -> ignore (T.simulate mem ~n:64 k))
+
+(* --- flat cache vs the array-of-arrays original ------------------------- *)
+
+(* The cache as it was before flattening: per-set tag and age rows, [/] and
+   [mod] address decoding, a list-walked hierarchy. *)
+module Oracle = struct
+  type t = {
+    cfg : C.config;
+    sets : int;
+    tags : int array array;
+    age : int array array;
+    mutable clock : int;
+    mutable accesses : int;
+    mutable misses : int;
+  }
+
+  let create (cfg : C.config) =
+    let sets = cfg.size_bytes / cfg.line_bytes / cfg.ways in
+    { cfg; sets;
+      tags = Array.make_matrix sets cfg.ways (-1);
+      age = Array.make_matrix sets cfg.ways 0;
+      clock = 0; accesses = 0; misses = 0 }
+
+  let access t addr =
+    t.clock <- t.clock + 1;
+    t.accesses <- t.accesses + 1;
+    let line = addr / t.cfg.line_bytes in
+    let set = line mod t.sets in
+    let tag = line / t.sets in
+    let tags = t.tags.(set) and age = t.age.(set) in
+    let hit_way = ref (-1) in
+    for w = 0 to t.cfg.ways - 1 do
+      if tags.(w) = tag then hit_way := w
+    done;
+    if !hit_way >= 0 then begin
+      age.(!hit_way) <- t.clock;
+      true
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      let victim = ref 0 in
+      for w = 1 to t.cfg.ways - 1 do
+        if age.(w) < age.(!victim) then victim := w
+      done;
+      tags.(!victim) <- tag;
+      age.(!victim) <- t.clock;
+      false
+    end
+
+  let hierarchy_access levels addr =
+    let rec go i = function
+      | [] -> i
+      | c :: rest -> if access c addr then i else go (i + 1) rest
+    in
+    go 0 levels
+
+  let level_stats levels = List.map (fun c -> (c.accesses, c.misses)) levels
+end
+
+(* Random power-of-two geometries: 1-16 ways, 2-3 levels, and an address
+   stream over a span a few times the largest level, so hits, conflict
+   misses and evictions all occur. *)
+let geometry_gen =
+  QCheck.Gen.(
+    let level =
+      map3
+        (fun ways set_log line_log ->
+          { C.size_bytes = ways * (1 lsl set_log) * (1 lsl line_log);
+            ways; line_bytes = 1 lsl line_log })
+        (int_range 1 16) (int_range 0 5) (int_range 2 6)
+    in
+    int_range 2 3 >>= fun nlev -> list_repeat nlev level)
+
+let stream_gen configs =
+  let span =
+    4 * List.fold_left (fun m (c : C.config) -> max m c.size_bytes) 1 configs
+  in
+  QCheck.Gen.(list_size (int_range 1 2000) (int_bound span))
+
+let scenario =
+  QCheck.make
+    ~print:(fun (configs, addrs) ->
+      Printf.sprintf "levels [%s], %d accesses"
+        (String.concat "; "
+           (List.map
+              (fun (c : C.config) ->
+                Printf.sprintf "%dB/%dw/%dB" c.size_bytes c.ways c.line_bytes)
+              configs))
+        (List.length addrs))
+    QCheck.Gen.(geometry_gen >>= fun configs -> pair (return configs) (stream_gen configs))
+
+let prop_flat_single_level =
+  QCheck.Test.make ~count:200 ~name:"flat cache access = oracle per access"
+    scenario (fun (configs, addrs) ->
+      let cfg = List.hd configs in
+      let c = C.create cfg and o = Oracle.create cfg in
+      List.for_all (fun a -> C.access c a = Oracle.access o a) addrs
+      && C.accesses c = o.accesses && C.misses c = o.misses)
+
+let prop_flat_hierarchy =
+  QCheck.Test.make ~count:200 ~name:"flat hierarchy = oracle per access"
+    scenario (fun (configs, addrs) ->
+      let h = C.hierarchy configs and o = List.map Oracle.create configs in
+      List.for_all
+        (fun a -> C.hierarchy_access h a = Oracle.hierarchy_access o a)
+        addrs
+      && C.level_stats h = Oracle.level_stats o)
+
 let tests =
   [ Alcotest.test_case "geometry validation" `Quick test_geometry_validation;
     Alcotest.test_case "cold miss then hit" `Quick test_cold_miss_then_hit;
@@ -160,4 +320,11 @@ let tests =
     Alcotest.test_case "small in L1" `Quick test_small_footprint_lives_in_l1;
     Alcotest.test_case "huge in DRAM" `Slow test_huge_footprint_hits_dram;
     Alcotest.test_case "gather thrashes L1" `Quick test_gather_misses_l1;
-    Alcotest.test_case "suite agreement" `Slow test_agreement_whole_suite ]
+    Alcotest.test_case "suite agreement" `Slow test_agreement_whole_suite;
+    Alcotest.test_case "stream = traced reference" `Slow test_stream_matches_traced;
+    Alcotest.test_case "stream = traced, deep hierarchy" `Slow
+      test_stream_matches_traced_deep;
+    Alcotest.test_case "stream out of bounds traps" `Quick
+      test_stream_out_of_bounds_traps;
+    QCheck_alcotest.to_alcotest prop_flat_single_level;
+    QCheck_alcotest.to_alcotest prop_flat_hierarchy ]

@@ -147,11 +147,16 @@ let op_gen =
       map (fun path -> Vserve.Proto.Reload { path }) name;
       return Vserve.Proto.Shutdown ]
 
+(* Ids and client names are bounded so an encoded request stays under
+   [Proto.max_line_bytes] even when every byte escapes to a six-byte
+   [\u00XX]: 2 * 1000 * 6 bytes plus the op and the framing.  Longer lines
+   are rejected by design (see [test_request_over_cap]). *)
 let request_gen =
   let open QCheck.Gen in
+  let field = string_size (int_bound 1000) in
   map3
     (fun rq_id rq_client rq_op -> { Vserve.Proto.rq_id; rq_client; rq_op })
-    string string op_gen
+    field field op_gen
 
 let prop_request_roundtrip =
   QCheck.Test.make ~count:300 ~name:"proto request line round-trip"
@@ -160,6 +165,19 @@ let prop_request_roundtrip =
       match Vserve.Proto.request_of_line (Vserve.Proto.request_to_line r) with
       | Ok r' -> r = r'
       | Error (_, _, m) -> QCheck.Test.fail_reportf "decode failed: %s" m)
+
+let test_request_over_cap () =
+  let r =
+    { Vserve.Proto.rq_id = String.make Vserve.Proto.max_line_bytes 'x';
+      rq_client = "c"; rq_op = Vserve.Proto.Health }
+  in
+  let line = Vserve.Proto.request_to_line r in
+  check_bool "encoded line is over the cap" true
+    (String.length line > Vserve.Proto.max_line_bytes);
+  match Vserve.Proto.request_of_line line with
+  | Ok _ -> Alcotest.fail "oversized request line was accepted"
+  | Error (_, code, _) ->
+      check_bool "typed bad request" true (code = Vserve.Proto.E_bad_request)
 
 let response_gen =
   let open QCheck.Gen in
@@ -724,6 +742,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_jsonv_roundtrip;
     QCheck_alcotest.to_alcotest prop_jsonv_string_bytes;
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
+    Alcotest.test_case "proto request over the line cap" `Quick
+      test_request_over_cap;
     QCheck_alcotest.to_alcotest prop_response_roundtrip;
     Alcotest.test_case "malformed lines" `Quick test_malformed_lines;
     QCheck_alcotest.to_alcotest prop_fuzz_never_raises;
