@@ -127,9 +127,8 @@ let backend_conv =
     | None ->
         Error
           (`Msg
-             (Printf.sprintf "unknown backend %s (expected one of: %s)" s
-                (String.concat ", "
-                   (List.map Vexec.Backend.to_string Vexec.Backend.all))))
+             (Printf.sprintf "unknown backend %s (expected %s)" s
+                Vexec.Backend.names))
   in
   Arg.conv (parse, fun fmt b -> Format.pp_print_string fmt (Vexec.Backend.to_string b))
 
@@ -139,9 +138,11 @@ let backend_arg =
     & opt (some backend_conv) None
     & info [ "backend" ] ~docv:"B"
         ~doc:
-          "Execution engine for kernel runs: interp (tree-walking reference), \
-           flat (bytecode) or closure (compiled, default).  Overrides \
-           $(b,VECMODEL_BACKEND).")
+          (Printf.sprintf
+             "Execution engine for kernel runs, one of %s: interp is the \
+              tree-walking reference, closure (the default) the compiled \
+              engine.  Overrides $(b,VECMODEL_BACKEND)."
+             Vexec.Backend.names))
 
 let apply_backend = function
   | None -> ()
@@ -241,6 +242,32 @@ let kernel_arg =
     & pos 0 (some string) None
     & info [] ~docv:"KERNEL" ~doc:"TSVC kernel name, e.g. s000.")
 
+(* --- kernel lookup ------------------------------------------------------------
+   Every subcommand that names a kernel resolves it here, so an unknown
+   name is a usage error (exit 124) everywhere, never an uncaught
+   exception. *)
+
+let lookup_kernel ?(registry = Tsvc.Registry.all) name =
+  match
+    List.find_opt
+      (fun (e : Tsvc.Registry.entry) ->
+        String.equal e.kernel.Vir.Kernel.name name)
+      registry
+  with
+  | Some e -> e
+  | None ->
+      Printf.eprintf "vecmodel: unknown kernel %s (try `vecmodel list`)\n" name;
+      exit 124
+
+(* [KERNEL] or [--all]: the one named entry, else the whole registry. *)
+let select_entries ?(registry = Tsvc.Registry.all) kernel all =
+  match (kernel, all) with
+  | Some _, true ->
+      Printf.eprintf "vecmodel: pass either KERNEL or --all, not both\n";
+      exit 124
+  | Some name, false -> [ lookup_kernel ~registry name ]
+  | None, _ -> registry
+
 let show_cmd =
   let asm_arg =
     Arg.(
@@ -248,7 +275,7 @@ let show_cmd =
       & info [ "asm" ] ~doc:"Also print pseudo-assembly (scalar and vectorized).")
   in
   let run name asm machine =
-    let e = Tsvc.Registry.find_exn name in
+    let e = lookup_kernel name in
     print_endline (Vir.Pp.kernel_to_string e.kernel);
     if asm then begin
       let style =
@@ -342,20 +369,7 @@ let lint_cmd =
         Printf.eprintf "vecmodel: --vf %d: vector factor must be >= 2\n" vf;
         exit 124
     | None -> ());
-    let entries =
-      match (kernel, all) with
-      | Some name, false -> (
-          match Tsvc.Registry.find name with
-          | Some e -> [ e ]
-          | None ->
-              Printf.eprintf
-                "vecmodel: unknown kernel %s (try `vecmodel list`)\n" name;
-              exit 124)
-      | None, true | None, false -> Tsvc.Registry.all
-      | Some _, true ->
-          Printf.eprintf "vecmodel: pass either KERNEL or --all, not both\n";
-          exit 124
-    in
+    let entries = select_entries kernel all in
     let transforms = if transforms = [] then None else Some transforms in
     let vfs = if vfs = [] then None else Some vfs in
     let reports =
@@ -421,20 +435,7 @@ let deps_cmd =
         Printf.eprintf "vecmodel: --vf %d: vector factor must be >= 2\n" vf;
         exit 124
     | None -> ());
-    let entries =
-      match (kernel, all) with
-      | Some name, false -> (
-          match Tsvc.Registry.find name with
-          | Some e -> [ e ]
-          | None ->
-              Printf.eprintf
-                "vecmodel: unknown kernel %s (try `vecmodel list`)\n" name;
-              exit 124)
-      | None, true | None, false -> Tsvc.Registry.all
-      | Some _, true ->
-          Printf.eprintf "vecmodel: pass either KERNEL or --all, not both\n";
-          exit 124
-    in
+    let entries = select_entries kernel all in
     let kernels =
       List.map (fun (e : Tsvc.Registry.entry) -> e.kernel) entries
     in
@@ -536,25 +537,7 @@ let effects_cmd =
         exit 124
     | None -> ());
     let registry = Tsvc.Registry.all @ Vapps.Registry.as_tsvc_entries in
-    let entries =
-      match (kernel, all) with
-      | Some name, false -> (
-          match
-            List.find_opt
-              (fun (e : Tsvc.Registry.entry) ->
-                String.equal e.kernel.Vir.Kernel.name name)
-              registry
-          with
-          | Some e -> [ e ]
-          | None ->
-              Printf.eprintf
-                "vecmodel: unknown kernel %s (try `vecmodel list`)\n" name;
-              exit 124)
-      | None, true | None, false -> registry
-      | Some _, true ->
-          Printf.eprintf "vecmodel: pass either KERNEL or --all, not both\n";
-          exit 124
-    in
+    let entries = select_entries ~registry kernel all in
     let kernels =
       List.map (fun (e : Tsvc.Registry.entry) -> e.kernel) entries
     in
@@ -628,14 +611,7 @@ let absint_cmd =
         Printf.eprintf "vecmodel: --vf %d: vector factor must be >= 2\n" v;
         exit 124
     | _ -> ());
-    let entry =
-      match Tsvc.Registry.find name with
-      | Some e -> e
-      | None ->
-          Printf.eprintf "vecmodel: unknown kernel %s (try `vecmodel list`)\n"
-            name;
-          exit 124
-    in
+    let entry = lookup_kernel name in
     let summary = Vanalysis.Absint.analyze ?vf ~n entry.kernel in
     if json then print_endline (Vanalysis.Absint.summary_to_json summary)
     else Vanalysis.Absint.print_summary summary
@@ -677,25 +653,7 @@ let opt_cmd =
   let run kernel all json validate backend =
     apply_backend backend;
     let registry = Tsvc.Registry.all @ Vapps.Registry.as_tsvc_entries in
-    let entries =
-      match (kernel, all) with
-      | Some name, false -> (
-          match
-            List.find_opt
-              (fun (e : Tsvc.Registry.entry) ->
-                String.equal e.kernel.Vir.Kernel.name name)
-              registry
-          with
-          | Some e -> [ e ]
-          | None ->
-              Printf.eprintf
-                "vecmodel: unknown kernel %s (try `vecmodel list`)\n" name;
-              exit 124)
-      | None, true | None, false -> registry
-      | Some _, true ->
-          Printf.eprintf "vecmodel: pass either KERNEL or --all, not both\n";
-          exit 124
-    in
+    let entries = select_entries ~registry kernel all in
     let ks = List.map (fun (e : Tsvc.Registry.entry) -> e.kernel) entries in
     let reports = Vanalysis.Opt.run_all ks in
     if json then print_endline (Vanalysis.Opt.reports_to_json reports)
@@ -748,8 +706,9 @@ let certify_cmd =
       value & flag
       & info [ "gate" ]
           ~doc:
-            "Run the soundness gate: execute every guard-free kernel under \
-             its license against the reference interpreter, enforce the \
+            "Run the soundness gate: check every guard-free certificate \
+             against the closure tier's bind-time bounds proof and run the \
+             kernel against the reference interpreter, enforce the \
              certified-fraction floor, and require the static certificates \
              to beat the bind-time interval check. Exit 1 on any failure.")
   in
@@ -759,25 +718,7 @@ let certify_cmd =
       exit 124
     end;
     let registry = Tsvc.Registry.all @ Vapps.Registry.as_tsvc_entries in
-    let entries =
-      match (kernel, all) with
-      | Some name, false -> (
-          match
-            List.find_opt
-              (fun (e : Tsvc.Registry.entry) ->
-                String.equal e.kernel.Vir.Kernel.name name)
-              registry
-          with
-          | Some e -> [ e ]
-          | None ->
-              Printf.eprintf
-                "vecmodel: unknown kernel %s (try `vecmodel list`)\n" name;
-              exit 124)
-      | None, true | None, false -> registry
-      | Some _, true ->
-          Printf.eprintf "vecmodel: pass either KERNEL or --all, not both\n";
-          exit 124
-    in
+    let entries = select_entries ~registry kernel all in
     let ks =
       List.map (fun (e : Tsvc.Registry.entry) -> e.kernel) entries
       |> List.sort (fun (a : Vir.Kernel.t) b -> String.compare a.name b.name)
@@ -837,7 +778,7 @@ let certify_cmd =
     (Cmd.info "certify"
        ~doc:
          "Emit static safety certificates: relational bounds verdicts per \
-          access, the guard-free license, and the soundness gate")
+          access, the guard-free flag, and the soundness gate")
     Term.(
       const run $ kernel_opt $ all_flag $ vf_arg $ json_flag $ gate_flag)
 
@@ -846,7 +787,7 @@ let certify_cmd =
 let simulate_cmd =
   let run name machine n transform faults =
     apply_faults faults;
-    let e = Tsvc.Registry.find_exn name in
+    let e = lookup_kernel name in
     let vf = Vmachine.Descr.vf_for_kernel machine e.kernel in
     let vk =
       match transform with
@@ -942,10 +883,10 @@ let predict_cmd =
   in
   let run name model_path machine n transform backend =
     apply_backend backend;
+    let entry = lookup_kernel name in
     match Linmodel.load model_path with
     | Error e -> failwith e
     | Ok m -> (
-        let entry = Tsvc.Registry.find_exn name in
         match Dataset.build ~machine ~transform ~n [ entry ] with
         | [ sample ] ->
             Printf.printf "kernel %s: predicted speedup %.2f (measured %.2f)\n"

@@ -1,11 +1,11 @@
 (* Static safety certificates.
 
-   A certificate is the bridge between the relational domain ([Rel]) and
-   the execution tier: per access it records safe / unsafe / unknown plus
-   the proving constraint (or refuting witness), and projects to a
-   [Vexec.License.t] that [Vexec.Closure.run_bound] consults to select the
-   unchecked body once per kernel instead of re-deriving intervals on
-   every bind.
+   A certificate is what the relational domain ([Rel]) proves about a
+   kernel's accesses: per access it records safe / unsafe / unknown plus
+   the proving constraint (or refuting witness).  It is an analysis, not a
+   runtime input: execution keeps one bounds proof, the bind-time
+   [Vexec.Closure.affine_safe], and [gate] checks every guard-free
+   certificate against that proof and the reference interpreter.
 
    Verdict composition:
 
@@ -15,8 +15,7 @@
      refutation beats a [Rel.Safe] claim — they cannot coexist for a sound
      domain, and keeping the refutation makes a seeded-unsound domain
      visible to the tests rather than licensing a trap;
-   - otherwise     -> [Vunknown] (the guarded path and the bind-time
-     interval check remain in charge).
+   - otherwise     -> [Vunknown].
 
    Alignment at the certificate's vector factor rides along from the
    congruence domain for the lint layer; it never licenses anything. *)
@@ -126,7 +125,7 @@ let certify ?(vf = default_vf) (k : Kernel.t) =
   in
   (* Guard-free means the unchecked body may run: every affine access is
      proven (indirect accesses keep their guards in the unchecked body, so
-     their verdicts do not gate the license — see [Vexec.License]). *)
+     their verdicts place no obligation here). *)
   let guard_free =
     Array.for_all (fun a -> a.ac_indirect || a.ac_verdict = Vsafe) accesses
   in
@@ -142,16 +141,6 @@ let certify ?(vf = default_vf) (k : Kernel.t) =
 let safe_frac (c : t) =
   let total = Array.length c.ct_accesses in
   if total = 0 then 1.0 else float_of_int c.ct_safe /. float_of_int total
-
-let license (c : t) =
-  Vexec.License.make ~kernel:c.ct_kernel
-    (Array.map
-       (fun a ->
-         match a.ac_verdict with
-         | Vsafe -> Vexec.License.Safe
-         | Vunsafe -> Vexec.License.Unsafe
-         | Vunknown -> Vexec.License.Unknown)
-       c.ct_accesses)
 
 (* Number of accesses the certificate licenses to run unguarded: for a
    guard-free kernel that is every proven access (indirect [Vsafe]
@@ -207,50 +196,58 @@ type gate = {
   g_accesses : int;
   g_safe : int;
   g_unsafe : int;
-  g_guard_free : int;  (* kernels licensed to skip the per-bind check *)
+  g_guard_free : int;  (* kernels whose every affine access is proven *)
   g_bind_time : int;  (* accesses the bind-time interval check licenses *)
   g_failures : string list;  (* empty = gate passes *)
 }
 
 let gate_sizes = [ 64; 257 ]
 
-(* Execute one guard-free kernel under its license and cross-check against
-   the reference interpreter.  Any divergence is an unsound certificate:
-   either the bind-time check refuted the license (hard [Invalid_argument]
-   from [Closure.run_bound]), or the unguarded body actually strayed. *)
-let check_licensed (k : Kernel.t) (c : t) =
+(* Check one guard-free certificate against the runtime's bounds proof: at
+   each gate size the bind-time [Closure.affine_safe] must hold, and the
+   closure run (which then takes the unchecked body) must match the
+   reference interpreter's digest.  A refuted certificate is a hard gate
+   failure. *)
+let check_guard_free (k : Kernel.t) =
   List.filter_map
     (fun n ->
       try
+        let st = Vexec.Flat.create (Vexec.Program.lower k) in
         let env = Env.create ~n k in
-        let prepared =
-          Vexec.Backend.prepare ~license:(license c) Vexec.Backend.Closure k
-        in
-        let reds = Vexec.Backend.run_in prepared env in
-        let got = Vexec.Backend.digest env reds in
-        let oracle = Vinterp.Interp.run ~n k in
-        let want =
-          Vexec.Backend.digest oracle.Vinterp.Interp.env
-            oracle.Vinterp.Interp.reductions
-        in
-        if String.equal got want then None
-        else
+        Vexec.Flat.bind st env;
+        if not (Vexec.Closure.affine_safe st) then
           Some
-            (Printf.sprintf "%s: licensed run diverges from interpreter at n=%d"
+            (Printf.sprintf
+               "%s: n=%d: bind-time bounds proof refutes the guard-free \
+                certificate"
                k.Kernel.name n)
+        else
+          let reds = Vexec.Closure.run_bound st (Vexec.Closure.compile st) in
+          let got = Vexec.Backend.digest env reds in
+          let oracle = Vinterp.Interp.run ~n k in
+          let want =
+            Vexec.Backend.digest oracle.Vinterp.Interp.env
+              oracle.Vinterp.Interp.reductions
+          in
+          if String.equal got want then None
+          else
+            Some
+              (Printf.sprintf
+                 "%s: guard-free run diverges from interpreter at n=%d"
+                 k.Kernel.name n)
       with
       | Invalid_argument msg ->
           Some (Printf.sprintf "%s: n=%d: %s" k.Kernel.name n msg)
       | Env.Out_of_bounds (arr, idx) ->
           Some
-            (Printf.sprintf "%s: licensed run trapped at n=%d: %s[%d]"
+            (Printf.sprintf "%s: guard-free run trapped at n=%d: %s[%d]"
                k.Kernel.name n arr idx))
     gate_sizes
 
 let gate ?(floor = 0.25) (pairs : (Kernel.t * t) list) =
   let failures =
     Vpar.Pool.parallel_map
-      (fun (k, c) -> if c.ct_guard_free then check_licensed k c else [])
+      (fun (k, c) -> if c.ct_guard_free then check_guard_free k else [])
       pairs
     |> List.concat
   in

@@ -1,10 +1,10 @@
 (** Static safety certificates: per-kernel, per-access bounds verdicts from
     the relational domain ({!Rel}), overlaid with witness-backed
-    refutations from {!Vir.Bounds}, projected to the execution tier as a
-    {!Vexec.License.t}.  A [Vsafe] verdict holds for every problem size
-    n >= 4 and every parameter assignment inside the environment
-    contracts; the closure tier still cross-checks the license against its
-    bind-time interval proof and hard-fails on contradiction. *)
+    refutations from {!Vir.Bounds}.  A [Vsafe] verdict holds for every
+    problem size n >= 4 and every parameter assignment inside the
+    environment contracts.  Certificates are an analysis: execution keeps
+    one bounds proof, the bind-time {!Vexec.Closure.affine_safe}, and
+    {!gate} checks guard-free certificates against it. *)
 
 type verdict = Vsafe | Vunsafe | Vunknown
 
@@ -45,8 +45,6 @@ val default_vf : int
 val certify : ?vf:int -> Vir.Kernel.t -> t
 val safe_frac : t -> float
 
-val license : t -> Vexec.License.t
-
 val static_guard_free : t -> int
 (** Accesses this certificate licenses to run unguarded (0 when not
     guard-free). *)
@@ -74,9 +72,10 @@ type gate = {
 }
 
 val gate : ?floor:float -> (Vir.Kernel.t * t) list -> gate
-(** The soundness gate: every guard-free kernel is executed under its
-    license and cross-checked against the reference interpreter (any
-    refuted license or divergence is a failure), the certified fraction
+(** The soundness gate: for every guard-free certificate, at each gate
+    size the bind-time {!Vexec.Closure.affine_safe} must hold and the
+    closure run must match the reference interpreter's digest (a refuted
+    certificate, a trap or a divergence is a failure); the certified fraction
     must reach [floor] (default 0.25), and the static certificates must
     license strictly more accesses than the bind-time interval check. *)
 

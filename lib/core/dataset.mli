@@ -22,7 +22,7 @@ type sample = {
       (** opt features + nest-wide dependence-graph and idiom columns *)
   cert : float array;
       (** deps features + certified-safe access fraction and guard-free
-          license flag ({!Vanalysis.Cert}) *)
+          flag ({!Vanalysis.Cert}) *)
   vraw : float array;  (** vector body counts (cost-target fits) *)
   exec_backend : string;  (** execution backend that ran the kernel *)
   exec_digest : string;
@@ -64,13 +64,6 @@ val build :
   ?backend:Vexec.Backend.t -> ?pool:Vpar.Pool.t -> ?timeout_s:float ->
   machine:Vmachine.Descr.t -> transform:transform -> n:int ->
   Tsvc.Registry.entry list -> sample list
-
-(** When enabled, {!build} hands each kernel's static safety certificate
-    ({!Vanalysis.Cert.license}) to the execution backend, so certified
-    kernels take the guard-free closure path licensed once per kernel
-    instead of re-deriving safety intervals per bind.  Off by default;
-    the bench harness toggles it to time static vs bind-time licensing. *)
-val set_static_licensing : bool -> unit
 
 (** {2 Health ledger} *)
 

@@ -1,13 +1,18 @@
-(* Execution-backend selection and a uniform run interface over the three
-   tiers: reference interpreter, flat bytecode dispatch, and
-   closure-compiled.  All three produce bit-identical results (the exec
-   test suite enforces it); they differ only in speed and hooks. *)
+(* Execution-backend selection and a uniform run interface over the two
+   tiers: the reference interpreter and the closure-compiled engine.  Both
+   produce bit-identical results (the exec test suite enforces it); they
+   differ only in speed and hooks. *)
 
-type t = Interp | Flat | Closure
+type t = Interp | Closure
 
 val all : t list
 val to_string : t -> string
+
 val of_string : string -> t option
+(** Inverse of [to_string] over [all]. *)
+
+val names : string
+(** The [to_string] names of [all], joined with ['|'] (for usage text). *)
 
 val set_default : t -> unit
 (** Force the process-wide default (what [--backend] sets). *)
@@ -22,10 +27,7 @@ type prepared
 (** A kernel lowered (and for [Closure], compiled) once for repeated
     execution; [run_in] only rebinds to the environment. *)
 
-val prepare : ?license:License.t -> t -> Vir.Kernel.t -> prepared
-(** [license] is a static safety certificate for the kernel; only the
-    closure tier consults it (see {!Closure.run_bound}), the fully guarded
-    tiers ignore it. *)
+val prepare : t -> Vir.Kernel.t -> prepared
 
 val backend_of : prepared -> t
 val kernel_of : prepared -> Vir.Kernel.t

@@ -9,9 +9,9 @@
    time, so a program is compiled exactly once and the same compiled nest
    serves every subsequent [Flat.bind].
 
-   Semantics is identical to [Flat.exec_body] (and hence to
-   [Vinterp.Interp]); the equivalence suite runs all three on the same
-   kernels and compares snapshots, reductions and traps. *)
+   Semantics is identical to [Vinterp.Interp], traps included; the
+   equivalence suite runs both on the same kernels and compares snapshots,
+   reductions and traps. *)
 
 open Vir
 module Env = Vinterp.Env
@@ -802,28 +802,17 @@ let affine_safe (st : Flat.state) =
           !safe
         end)
 
-(* With a [Safe]-covering static license the unchecked body is selected once
-   at prepare time; [affine_safe] stays on per bind as a mandatory
-   cross-check.  A license the bind-time proof refutes is a hard failure —
-   an unsound certificate must never cause a silent unguarded run. *)
-let run_bound ?license (st : Flat.state) (compiled : t) =
+(* The unchecked body runs only when the bind-time proof holds for this
+   binding; it is the runtime's one bounds proof. *)
+let run_bound (st : Flat.state) (compiled : t) =
   let reds = st.prog.reds in
   for j = 0 to Array.length reds - 1 do
     st.accs.(j) <- reds.(j).rd_init
   done;
-  (match license with
-  | Some lic when License.guard_free lic st.prog ->
-      if affine_safe st then compiled.unchecked ()
-      else
-        invalid_arg
-          (Printf.sprintf
-             "Vexec.Closure: unsound safety certificate for %s: bind-time \
-              bounds check refutes the static license"
-             st.prog.kernel.Kernel.name)
-  | _ -> (if affine_safe st then compiled.unchecked else compiled.checked) ());
+  (if affine_safe st then compiled.unchecked else compiled.checked) ();
   Array.to_list
     (Array.mapi (fun j (r : Program.red) -> (r.rd_name, st.accs.(j))) reds)
 
-let run_in ?license st compiled env =
+let run_in st compiled env =
   Flat.bind st env;
-  run_bound ?license st compiled
+  run_bound st compiled

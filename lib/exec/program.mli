@@ -5,8 +5,8 @@
    parameters into preloaded slots, assigns loop variables mirror slots, and
    reduces every affine memory access to a descriptor whose index function is
    a bind-time constant plus per-loop-depth element coefficients.  The
-   resulting program executes under [Flat] (bytecode dispatch) or [Closure]
-   (compiled to OCaml closures) with semantics bit-identical to
+   resulting program is bound into a [Flat.state] arena and executed by
+   [Closure] (compiled to OCaml closures) with semantics bit-identical to
    [Vinterp.Interp], traps included. *)
 
 (* Instruction encoding: [stride] ints per instruction — opcode, destination

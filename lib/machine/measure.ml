@@ -59,12 +59,12 @@ type execution = {
   exec_reductions : (string * float) list;
 }
 
-let execute ?backend ?license ?effects ?(seed = 42) ?(repeats = 1) ~n
+let execute ?backend ?effects ?(seed = 42) ?(repeats = 1) ~n
     (k : Kernel.t) =
   let backend =
     match backend with Some b -> b | None -> Vexec.Backend.default ()
   in
-  let prepared = Vexec.Backend.prepare ?license backend k in
+  let prepared = Vexec.Backend.prepare backend k in
   (* Ownership of the working set comes from the kernel's effect license:
      arrays the summary proves unwritten are [Frozen] (they alias the
      shared initialization masters instead of being copied per sample),

@@ -656,7 +656,7 @@ let test_driver_report () =
   check "seeded bug surfaces in report" true
     (A.Driver.has_errors (A.Driver.lint_kernel bad))
 
-(* --- relational certificates: Ibox, Rel, Cert, License ---------------------- *)
+(* --- relational certificates: Ibox, Rel, Cert ------------------------------- *)
 
 module E = Vexec
 
@@ -715,10 +715,10 @@ let test_negative_step_affine_safe () =
   check "nonempty negative-step loop stays unproven" false
     (E.Closure.affine_safe st)
 
-(* Seeded-unsound-certificate negative: a hand-forged all-Safe license on
-   an out-of-bounds kernel must hard-fail inside the closure tier (the
-   bind-time cross-check), and the real certifier must refuse to issue it
-   in the first place. *)
+(* Seeded-unsound-certificate negative: a hand-forged all-[Vsafe],
+   guard-free certificate on an out-of-bounds kernel must fail the
+   soundness gate (the bind-time bounds proof refutes it), and the real
+   certifier must refuse to issue it in the first place. *)
 let test_unsound_license_hard_fails () =
   let b = B.make "unsound" in
   let i = B.loop b "i" Kernel.Tn in
@@ -733,22 +733,27 @@ let test_unsound_license_hard_fails () =
     (Array.exists
        (fun (a : A.Cert.access_cert) -> a.A.Cert.ac_verdict = A.Cert.Vunsafe)
        c.A.Cert.ct_accesses);
-  let st = E.Flat.create (E.Program.lower k) in
-  let cl = E.Closure.compile st in
-  let env = Vinterp.Env.create ~n:64 k in
-  E.Flat.bind st env;
+  check "honest certificate passes the gate" true
+    (A.Cert.gate_pass (A.Cert.gate [ (k, c) ]));
   let forged =
-    E.License.make ~kernel:k.Kernel.name
-      (Array.make (Array.length st.E.Flat.prog.E.Program.accesses)
-         E.License.Safe)
+    {
+      c with
+      A.Cert.ct_accesses =
+        Array.map
+          (fun (a : A.Cert.access_cert) ->
+            { a with A.Cert.ac_verdict = A.Cert.Vsafe; ac_reason = "forged" })
+          c.A.Cert.ct_accesses;
+      ct_guard_free = true;
+      ct_safe = Array.length c.A.Cert.ct_accesses;
+      ct_unsafe = 0;
+    }
   in
-  check "forged license claims the guard-free body" true
-    (E.License.guard_free forged st.E.Flat.prog);
-  match E.Closure.run_bound ~license:forged st cl with
-  | _ -> Alcotest.fail "unsound license was not rejected"
-  | exception Invalid_argument msg ->
-      check "hard failure names the certificate" true
-        (contains msg "unsound safety certificate")
+  let g = A.Cert.gate [ (k, forged) ] in
+  check "forged certificate fails the gate" false (A.Cert.gate_pass g);
+  check "failure names the refuted certificate" true
+    (List.exists
+       (fun msg -> contains msg "refutes the guard-free certificate")
+       g.A.Cert.g_failures)
 
 (* A parameter-dependent access the relational prover certifies for every
    contract assignment: b[i+p] against extent n+4 with p in [1,4]. *)
@@ -788,7 +793,8 @@ let test_lint_oob_param_dependent () =
       check "message says not certified" true
         (contains d.A.Diag.message "not certified")
 
-(* qcheck soundness gate: on random kernels, a certified license may never
+(* qcheck soundness gate: on random kernels, a guard-free certificate must
+   agree with the bind-time bounds proof, and the closure run must never
    trap or diverge from the reference interpreter — under random
    in-contract parameter assignments and multiple problem sizes. *)
 let test_cert_soundness_prop =
@@ -798,7 +804,8 @@ let test_cert_soundness_prop =
     (fun seed ->
       let k = Vsynth.Generator.kernel seed in
       let c = A.Cert.certify k in
-      let lic = A.Cert.license c in
+      let st = E.Flat.create (E.Program.lower k) in
+      let cl = E.Closure.compile st in
       List.iter
         (fun n ->
           let mk_env () =
@@ -811,26 +818,21 @@ let test_cert_soundness_prop =
               k.Kernel.params;
             env
           in
-          let st = E.Flat.create (E.Program.lower k) in
-          let cl = E.Closure.compile st in
           let env = mk_env () in
           E.Flat.bind st env;
-          if
-            E.License.guard_free lic st.E.Flat.prog
-            && not (E.Closure.affine_safe st)
-          then
+          if c.A.Cert.ct_guard_free && not (E.Closure.affine_safe st) then
             QCheck.Test.fail_reportf
               "%s: certificate safe but bind-time proof refutes it at n=%d"
               k.Kernel.name n;
           let closure_digest =
-            match E.Closure.run_bound ~license:lic st cl with
+            match E.Closure.run_bound st cl with
             | reds -> E.Backend.digest env reds
             | exception Invalid_argument msg ->
                 QCheck.Test.fail_reportf "%s: %s" k.Kernel.name msg
             | exception Vinterp.Env.Out_of_bounds _ ->
-                if E.License.guard_free lic st.E.Flat.prog then
+                if c.A.Cert.ct_guard_free then
                   QCheck.Test.fail_reportf
-                    "%s: licensed run trapped out of bounds at n=%d"
+                    "%s: guard-free run trapped out of bounds at n=%d"
                     k.Kernel.name n
                 else "trap"
           in
@@ -842,7 +844,7 @@ let test_cert_soundness_prop =
           in
           if not (String.equal closure_digest oracle_digest) then
             QCheck.Test.fail_reportf
-              "%s: licensed closure diverges from the interpreter at n=%d"
+              "%s: closure diverges from the interpreter at n=%d"
               k.Kernel.name n)
         [ 64; 193 ];
       true)
