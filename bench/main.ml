@@ -8,6 +8,7 @@
      dune exec bench/main.exe micro      # only the microbenchmarks
      dune exec bench/main.exe json F.json  # pipeline timings as JSON
      dune exec bench/main.exe exec-smoke # CI gate: closure >= 3x interp
+     dune exec bench/main.exe a6-smoke   # CI gate: A6 interpreter-free, >= 3x
 *)
 
 open Costmodel
@@ -756,6 +757,50 @@ let exec_smoke () =
   end
   else Printf.printf "exec-smoke: ok (threshold 3x)\n"
 
+(* a6-smoke: CI gate for A6's access sources.  At the A6 size every
+   registry kernel must stream or run compiled (an interpreted one means
+   the tree-walking interpreter is back on A6's path), and
+   [Tracesim.simulate] must beat the interpreter-traced reference by at
+   least 3x on a slice holding every compiled (gather/scatter) kernel plus
+   streamed ones.  The full-slice ratio is near 10x; 3x leaves room for
+   noisy CI runners. *)
+let a6_smoke () =
+  let mem = Vmachine.Machines.neon_a57.Vmachine.Descr.mem in
+  let n = Tsvc.Registry.default_n in
+  let on path =
+    List.filter
+      (fun (e : Tsvc.Registry.entry) -> Vmachine.Tracesim.path mem ~n e.kernel = path)
+      Tsvc.Registry.all
+  in
+  let streamed = on `Stream and compiled = on `Compiled in
+  let interpreted = on `Interpreted in
+  Printf.printf "a6-smoke: n = %d: %d streamed, %d compiled, %d interpreted\n"
+    n (List.length streamed) (List.length compiled) (List.length interpreted);
+  let slice = compiled @ List.filteri (fun i _ -> i < 16) streamed in
+  let time simulate =
+    wall (fun () ->
+        List.iter (fun (e : Tsvc.Registry.entry) -> ignore (simulate e.kernel)) slice)
+  in
+  let fast () = time (fun k -> Vmachine.Tracesim.simulate mem ~n k) in
+  ignore (fast ());
+  let traced = time (fun k -> Vmachine.Tracesim.simulate_traced mem ~n k) in
+  let fast = fast () in
+  let speedup = traced /. Float.max 1e-9 fast in
+  Printf.printf
+    "a6-smoke: %d kernels: traced %.4fs, simulate %.4fs (%.1fx)\n"
+    (List.length slice) traced fast speedup;
+  if interpreted <> [] then begin
+    Printf.printf "a6-smoke: FAIL: interpreted kernels: %s\n"
+      (String.concat " "
+         (List.map (fun (e : Tsvc.Registry.entry) -> e.kernel.Vir.Kernel.name) interpreted));
+    exit 1
+  end;
+  if speedup < 3.0 then begin
+    Printf.printf "a6-smoke: FAIL: simulate under 3x over the traced reference\n";
+    exit 1
+  end;
+  Printf.printf "a6-smoke: ok (no interpreted kernel, threshold 3x)\n"
+
 (* csv DIR: write per-experiment summary CSVs plus the F1/F3 scatters. *)
 let export_csv dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -807,6 +852,9 @@ let () =
         run rest
     | "exec-smoke" :: rest ->
         exec_smoke ();
+        run rest
+    | "a6-smoke" :: rest ->
+        a6_smoke ();
         run rest
     | w :: rest ->
         (match List.assoc_opt w experiments with

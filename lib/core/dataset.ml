@@ -187,6 +187,7 @@ let build_one ~noise_amp ~seed ~repeats ~backend ~(machine : Vmachine.Descr.t)
               Vmachine.Measure.noise_factor ~amp:noise_amp ~seed
                 (k.Kernel.name ^ salt) machine.name
             in
+            let fl = Feature.layers ~n ~vf k in
             Built
               {
                 name = k.Kernel.name;
@@ -195,13 +196,13 @@ let build_one ~noise_amp ~seed ~repeats ~backend ~(machine : Vmachine.Descr.t)
                 vk;
                 vf;
                 raw = Feature.counts k;
-                norm_raw = Feature.counts (Vanalysis.Opt.normalize k);
+                norm_raw = Feature.counts fl.Feature.normalized;
                 rated = Feature.rated k;
                 extended = Feature.extended k;
-                absint = Feature.absint ~n ~vf k;
-                opt = Feature.opt ~n ~vf k;
-                deps = Feature.deps ~n ~vf k;
-                cert = Feature.cert ~n ~vf k;
+                absint = fl.absint;
+                opt = fl.opt;
+                deps = fl.deps;
+                cert = fl.cert;
                 vraw = Feature.vcounts vk;
                 exec_backend = Vexec.Backend.to_string backend;
                 exec_digest = ex.Vmachine.Measure.exec_digest;

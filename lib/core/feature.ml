@@ -234,12 +234,13 @@ let opt_dim = absint_dim + 2
    GVN/DCE/DSE/folding (source-level redundancy inflates raw counts without
    costing cycles) and the loop-invariant fraction LICM pins to the
    preheader prefix (work the loop does not pay per iteration). *)
-let opt ~n ~vf (k : Kernel.t) =
-  let nk = Vanalysis.Opt.normalize k in
+let opt_of ~n ~vf (k : Kernel.t) nk =
   let base = absint ~n ~vf nk in
   let orig = total (counts k) in
   let ratio = if orig = 0.0 then 1.0 else total (counts nk) /. orig in
   Array.append base [| ratio; Vanalysis.Opt.hoisted_fraction nk |]
+
+let opt ~n ~vf k = opt_of ~n ~vf k (Vanalysis.Opt.normalize k)
 
 let pp fmt f =
   List.iteri
@@ -264,8 +265,7 @@ let deps_dim = opt_dim + 5
    and the recognized idiom flags (a reduction vectorizes through a
    horizontal combine with its own cost shape; a first-order recurrence
    serializes). *)
-let deps ~n ~vf (k : Kernel.t) =
-  let base = opt ~n ~vf k in
+let deps_of base (k : Kernel.t) =
   let g = Vdeps.Depgraph.build k in
   let per_depth = Vdeps.Depgraph.carried_counts g in
   let depth = Array.length per_depth in
@@ -287,6 +287,8 @@ let deps ~n ~vf (k : Kernel.t) =
       (if Vdeps.Idiom.has_recurrence idioms then 1.0 else 0.0);
     |]
 
+let deps ~n ~vf k = deps_of (opt ~n ~vf k) k
+
 let cert_names = deps_names @ [ "x_cert_safe_frac"; "x_cert_guard_free" ]
 let cert_dim = deps_dim + 2
 
@@ -296,11 +298,31 @@ let cert_dim = deps_dim + 2
    bookkeeping a vectorized loop would carry at run time — a guard-free
    kernel vectorizes without per-block range checks, a low certified
    fraction forecasts guarded (slower) vector bodies. *)
-let cert ~n ~vf (k : Kernel.t) =
-  let base = deps ~n ~vf k in
+let cert_of base ~vf (k : Kernel.t) =
   let c = Vanalysis.Cert.certify ~vf k in
   Array.append base
     [|
       Vanalysis.Cert.safe_frac c;
       (if c.Vanalysis.Cert.ct_guard_free then 1.0 else 0.0);
     |]
+
+let cert ~n ~vf k = cert_of (deps ~n ~vf k) ~vf k
+
+(* --- every layer along one chain --- *)
+
+type layers = {
+  normalized : Kernel.t;
+  absint : float array;
+  opt : float array;
+  deps : float array;
+  cert : float array;
+}
+
+(* Each layer extends the one below it, so computing them separately
+   normalizes the kernel once per layer above absint and analyses the
+   normalized body again each time; one chain does every step once. *)
+let layers ~n ~vf k =
+  let normalized = Vanalysis.Opt.normalize k in
+  let opt = opt_of ~n ~vf k normalized in
+  let deps = deps_of opt k in
+  { normalized; absint = absint ~n ~vf k; opt; deps; cert = cert_of deps ~vf k }

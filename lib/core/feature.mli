@@ -91,4 +91,18 @@ val cert_names : string list
 
 val cert_dim : int
 val cert : n:int -> vf:int -> Vir.Kernel.t -> float array
+
+(** The absint, opt, deps and cert feature sets of one kernel, each equal
+    to its function above, built along one chain: the kernel is
+    normalized once ([normalized] is [Vanalysis.Opt.normalize k]) and
+    every layer extends the one below instead of recomputing it. *)
+type layers = {
+  normalized : Vir.Kernel.t;
+  absint : float array;
+  opt : float array;
+  deps : float array;
+  cert : float array;
+}
+
+val layers : n:int -> vf:int -> Vir.Kernel.t -> layers
 val pp : Format.formatter -> float array -> unit

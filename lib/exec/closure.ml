@@ -694,9 +694,10 @@ let compile_body ?(check = true) (st : Flat.state) =
   in
   seq (Array.append closures red_closures)
 
-(* Wrap the body in loop drivers, innermost outward, specializing on which
-   mirror slots the body actually reads. *)
-let compile (st : Flat.state) =
+(* Wrap an innermost-iteration closure in the program's loop drivers,
+   innermost outward, specializing on which mirror slots the body actually
+   reads. *)
+let nest (st : Flat.state) body =
   let prog = st.prog in
   let bounds = st.bounds and ivs = st.ivs in
   let f = st.fregs and i = st.iregs in
@@ -748,11 +749,16 @@ let compile (st : Flat.state) =
           v := cur + step
         done
   in
-  let rec build check depth =
-    if depth = Array.length prog.loops then compile_body ~check st
-    else wrap depth (build check (depth + 1))
+  let rec build depth =
+    if depth = Array.length prog.loops then body else wrap depth (build (depth + 1))
   in
-  { checked = build true 0; unchecked = build false 0 }
+  build 0
+
+let compile (st : Flat.state) =
+  {
+    checked = nest st (compile_body ~check:true st);
+    unchecked = nest st (compile_body ~check:false st);
+  }
 
 (* Can the unchecked body run?  True when every affine access provably stays
    inside [0, len) over the bound iteration space: the index is monotone in

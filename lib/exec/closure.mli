@@ -28,6 +28,14 @@ val run_in : Flat.state -> t -> Vinterp.Env.t -> (string * float) list
 (** [Flat.bind] then [run_bound]. *)
 
 val compile_body : ?check:bool -> Flat.state -> unit -> unit
-(** Body-only compilation (one innermost iteration including reduction
-    folds), exposed for tests.  [check] (default true) selects the
-    bounds-guarded variant. *)
+(** Body-only compilation: one innermost iteration, reduction folds
+    included, at the loop variables the state's [ivs] currently hold.
+    [check] (default true) selects the bounds-guarded variant; unchecked is
+    only sound when [affine_safe] holds for the binding, as in
+    [run_bound].  [Vmachine.Tracesim] runs it under {!nest} to feed the
+    cache simulator after every iteration. *)
+
+val nest : Flat.state -> (unit -> unit) -> unit -> unit
+(** [nest st body] wraps [body] in the program's loop drivers: every
+    iteration sets [ivs] and the loop-variable mirror slots, then calls
+    [body].  [compile] is [nest] over each [compile_body] variant. *)

@@ -57,43 +57,74 @@ let hits t = t.accesses - t.misses
 let miss_rate t =
   if t.accesses = 0 then 0.0 else float_of_int t.misses /. float_of_int t.accesses
 
-(* Touch one byte address; returns true on hit.  Misses install the line.
-   Negative addresses decode with truncating [/] and [mod], exactly as a
+(* Address decode, shared by [access] and [resident] so that no geometry
+   can decode two ways: an address's line, the line's set (as the flat
+   index of the set's first way) and its tag.  Negative
+   addresses decode with truncating [/] and [mod], exactly as a
    non-power-of-two geometry does; a negative set index is out of bounds. *)
-let access t addr =
-  t.clock <- t.clock + 1;
-  t.accesses <- t.accesses + 1;
-  let line =
-    if t.line_shift >= 0 && addr >= 0 then addr lsr t.line_shift
-    else addr / t.cfg.line_bytes
+let[@inline] line_of t addr =
+  if t.line_shift >= 0 && addr >= 0 then addr lsr t.line_shift
+  else addr / t.cfg.line_bytes
+
+let[@inline] first_way t line =
+  let set =
+    if t.set_shift >= 0 && line >= 0 then line land (t.sets - 1)
+    else line mod t.sets
   in
-  let shift = t.set_shift >= 0 && line >= 0 in
-  let set = if shift then line land (t.sets - 1) else line mod t.sets in
-  let tag = if shift then line lsr t.set_shift else line / t.sets in
   if set < 0 then invalid_arg "index out of bounds";
-  let ways = t.cfg.ways in
-  let first = set * ways in
-  let tags = t.tags and age = t.age in
-  (* The last matching way hits: scan down and stop at the first match. *)
-  let w = ref (first + ways - 1) in
+  set * t.cfg.ways
+
+let[@inline] tag_of t line =
+  if t.set_shift >= 0 && line >= 0 then line lsr t.set_shift else line / t.sets
+
+(* The way holding [line], or [first - 1] when it is not resident.  The
+   last matching way is the one that hits: scan down and stop at the first
+   match. *)
+let[@inline] find t ~first ~tag =
+  let tags = t.tags in
+  let w = ref (first + t.cfg.ways - 1) in
   while !w >= first && Array.unsafe_get tags !w <> tag do
     decr w
   done;
-  if !w >= first then begin
-    Array.unsafe_set age !w t.clock;
+  !w
+
+(* Touch one byte address; returns true on hit.  Misses install the line. *)
+let access t addr =
+  t.clock <- t.clock + 1;
+  t.accesses <- t.accesses + 1;
+  let line = line_of t addr in
+  let first = first_way t line in
+  let tag = tag_of t line in
+  let w = find t ~first ~tag in
+  let age = t.age in
+  if w >= first then begin
+    Array.unsafe_set age w t.clock;
     true
   end
   else begin
     t.misses <- t.misses + 1;
     (* Evict the least recently used way (the lowest index on ties). *)
     let victim = ref first in
-    for w = first + 1 to first + ways - 1 do
+    for w = first + 1 to first + t.cfg.ways - 1 do
       if Array.unsafe_get age w < Array.unsafe_get age !victim then victim := w
     done;
-    Array.unsafe_set tags !victim tag;
+    Array.unsafe_set t.tags !victim tag;
     Array.unsafe_set age !victim t.clock;
     false
   end
+
+(* Whether [addr]'s line is resident; changes no state. *)
+let resident t addr =
+  let line = line_of t addr in
+  let first = first_way t line in
+  find t ~first ~tag:(tag_of t line) >= first
+
+(* Account [r] accesses that all hit resident lines, without restamping
+   them.  Sound only when restamping could not change the LRU order that
+   any later eviction reads (see [Tracesim]'s line runs). *)
+let skip_hits t r =
+  t.clock <- t.clock + r;
+  t.accesses <- t.accesses + r
 
 let reset_stats t =
   t.accesses <- 0;

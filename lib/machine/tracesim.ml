@@ -4,10 +4,13 @@
    Kernels whose every access is affine need no execution at all: the
    lowered program's access descriptors give each access's address as a
    constant plus per-loop-depth coefficients, so the address stream is
-   generated straight from the loop nest.  Gather/scatter kernels, and any
-   kernel the stream path cannot prove trap-free, replay the reference
-   interpreter's trace instead.  Both paths feed the same accesses in the
-   same order, so their statistics are identical.
+   generated straight from the loop nest, and runs of iterations that
+   provably hit L1 are accounted without being replayed.  Gather/scatter
+   kernels, and any kernel the stream path cannot prove trap-free, run the
+   closure-compiled body and touch its accesses after every iteration; a
+   trap there hands the kernel to the reference interpreter's trace.  All
+   paths feed the same accesses in the same order, so their statistics are
+   identical.
 
    This validates the analytic [Memmodel]: the level it picks from the
    working-set size should match where the simulated hierarchy actually
@@ -133,34 +136,41 @@ type stream = {
   trips : int array;  (* per loop depth *)
 }
 
-(* The stream of [k] at size [n], or [None] when the kernel must run on the
-   interpreter: an integer division (its divisor may be zero), a loop that
-   never terminates, an indirect access or another trap site in the lowered
-   program, or an affine access not proven in range over the whole nest.
-   Those are the cases where the interpreter could stop partway through its
-   trace. *)
-let stream_of ?seed ~n ~line_bytes (k : Kernel.t) =
+(* Where [simulate] takes a kernel's accesses from. *)
+type plan =
+  | Stream of stream  (* generated from the loop nest; nothing executes *)
+  | Compiled of Vexec.Program.t  (* the closure-compiled body runs *)
+  | Interpreted  (* the reference interpreter's trace *)
+
+(* A kernel streams when nothing can stop the interpreter partway through
+   its trace: no integer division (its divisor may be zero), no indirect
+   access or other trap site in the lowered program, and every affine
+   access proven in range over the whole nest.  Otherwise it runs compiled,
+   unless it does not lower or a loop never terminates: only the
+   interpreter reproduces those. *)
+let plan_of ?seed ~n ~line_bytes (k : Kernel.t) =
   let int_division = function
     | Instr.Bin { ty; op = Op.Div | Op.Rem; _ } -> not (Types.is_float ty)
     | _ -> false
   in
   let endless (l : Kernel.loop) = l.step <= 0 && l.start < Kernel.trip_bound ~n l.trip in
-  if List.exists int_division k.body || List.exists endless k.loops then None
+  if List.exists endless k.loops then Interpreted
   else
     match Vexec.Program.lower k with
-    | exception Invalid_argument _ -> None
+    | exception Invalid_argument _ -> Interpreted
     | prog
-      when Array.length prog.traps > 0
+      when List.exists int_division k.body
+           || Array.length prog.traps > 0
            || Array.exists (fun (a : Vexec.Program.access) -> a.acc_ind >= 0) prog.accesses
       ->
-        None
+        Compiled prog
     | prog ->
         (* The bind-time access constants and array lengths the closure tier
            uses, from an environment that aliases the shared initial buffers
            (nothing is copied, nothing is written). *)
         let st = Vexec.Flat.create prog in
         Vexec.Flat.bind st (Vinterp.Env.create ?seed ~readonly:(fun _ -> true) ~n k);
-        if not (Vexec.Closure.affine_safe st) then None
+        if not (Vexec.Closure.affine_safe st) then Compiled prog
         else begin
           let l = layout ~n ~line_bytes k in
           let trips =
@@ -185,45 +195,165 @@ let stream_of ?seed ~n ~line_bytes (k : Kernel.t) =
                 !addr)
               prog.accesses
           in
-          Some { start; incs; trips }
+          Stream { start; incs; trips }
         end
 
 (* Walk the nest and touch every access in body order at every innermost
    iteration: addresses advance by their per-loop increment and rewind when
-   a loop completes. *)
-let replay s { start; incs; trips } =
+   a loop completes.
+
+   Line runs.  Take an innermost iteration after which every access's line
+   is resident in L1, and let r be the number of further iterations in
+   which every access stays on its current line (capped by the trips
+   left).  Those r iterations touch the same resident lines in the same
+   order, so each access hits L1: nothing is evicted, no lower level is
+   reached, the touched lines keep their LRU order among themselves (the
+   order of their last touch in the body) and every other line of their
+   sets stays older.  Restamping them would change no later eviction, so
+   the run is accounted as r * k L1 hits ([Cache.skip_hits]) and skipped.
+   [left.(a)] counts access [a]'s further iterations on its line; it is
+   decremented, and recomputed only when the access moves to a new line.
+   The residency probe is what makes this sound: an access may evict the
+   line of an earlier one in the same iteration, and then every iteration
+   misses again. *)
+let replay s ~line_bytes { start; incs; trips } =
   let nacc = Array.length start in
   let nloops = Array.length trips in
   let pos = Array.copy start in
-  let rec walk d =
-    if d = nloops then
-      for a = 0 to nacc - 1 do
-        touch s pos.(a)
+  let touch_all () =
+    for a = 0 to nacc - 1 do
+      touch s (Array.unsafe_get pos a)
+    done
+  in
+  let advance inc by =
+    for a = 0 to nacc - 1 do
+      pos.(a) <- pos.(a) + (by * inc.(a))
+    done
+  in
+  let l1 = List.hd s.h.Cache.levels in
+  let inner = if nloops = 0 then [||] else incs.(nloops - 1) in
+  (* An access that moves a whole line per iteration never runs. *)
+  let runs = nacc > 0 && Array.for_all (fun inc -> abs inc < line_bytes) inner in
+  let left = Array.make nacc 0 in
+  let line_run a =
+    let inc = inner.(a) and p = pos.(a) in
+    if inc = 0 then max_int
+    else if p < 0 then 0
+    else
+      let o = p mod line_bytes in
+      if inc > 0 then (line_bytes - 1 - o) / inc else o / -inc
+  in
+  let all_resident () =
+    let ok = ref true and a = ref 0 in
+    while !ok && !a < nacc do
+      ok := Cache.resident l1 pos.(!a);
+      incr a
+    done;
+    !ok
+  in
+  let innermost t =
+    if not runs then
+      for _ = 1 to t do
+        touch_all ();
+        advance inner 1
       done
+    else begin
+      for a = 0 to nacc - 1 do
+        left.(a) <- line_run a
+      done;
+      let j = ref 0 in
+      while !j < t do
+        touch_all ();
+        let r = ref (t - 1 - !j) in
+        for a = 0 to nacc - 1 do
+          if left.(a) < !r then r := left.(a)
+        done;
+        let r = if !r > 0 && all_resident () then !r else 0 in
+        if r > 0 then begin
+          Cache.skip_hits l1 (r * nacc);
+          s.total <- s.total + (r * nacc)
+        end;
+        let step = r + 1 in
+        for a = 0 to nacc - 1 do
+          pos.(a) <- pos.(a) + (step * inner.(a));
+          let l = left.(a) - step in
+          left.(a) <- (if l >= 0 then l else line_run a)
+        done;
+        j := !j + step
+      done
+    end;
+    advance inner (-t)
+  in
+  let rec walk d =
+    if d = nloops - 1 then innermost trips.(d)
     else begin
       let inc = incs.(d) and t = trips.(d) in
       for _ = 1 to t do
         walk (d + 1);
-        for a = 0 to nacc - 1 do
-          pos.(a) <- pos.(a) + inc.(a)
-        done
+        advance inc 1
       done;
-      for a = 0 to nacc - 1 do
-        pos.(a) <- pos.(a) - (inc.(a) * t)
-      done
+      advance inc (-t)
     end
   in
-  walk 0
+  if nloops = 0 then touch_all () else walk 0
 
-let streams ?seed (mem : Descr.mem) ~n k =
-  Option.is_some (stream_of ?seed ~n ~line_bytes:mem.line_bytes k)
+(* Run the closure-compiled body at every innermost iteration and touch its
+   accesses after it, in body order: an indirect index is read from the
+   register the body just computed, an affine one from the loop variables.
+   The body is the checked or unchecked variant exactly as
+   [Closure.run_bound] would pick it, and both passes run on one writable
+   environment, as the interpreter's do.  Traps escape to [simulate]. *)
+let simulate_compiled ?seed (mem : Descr.mem) ~n (k : Kernel.t) (prog : Vexec.Program.t) =
+  let st = Vexec.Flat.create prog in
+  Vexec.Flat.bind st (Vinterp.Env.create ?seed ~n k);
+  let body = Vexec.Closure.compile_body ~check:(not (Vexec.Closure.affine_safe st)) st in
+  let l = layout ~n ~line_bytes:mem.line_bytes k in
+  let s = new_sim mem in
+  let iregs = st.iregs and ivs = st.ivs and cst = st.acc_const in
+  let touches =
+    Array.mapi
+      (fun a (acc : Vexec.Program.access) ->
+        let base, eb = placement l acc.acc_name in
+        if acc.acc_ind >= 0 then
+          let r = acc.acc_ind in
+          fun () -> touch s (base + (eb * Array.unsafe_get iregs r))
+        else
+          let coeff = st.acc_coeff.(a) and depth = st.acc_depth.(a) in
+          fun () ->
+            let idx = ref (Array.unsafe_get cst a) in
+            for j = 0 to Array.length coeff - 1 do
+              idx := !idx + (coeff.(j) * Array.unsafe_get ivs depth.(j))
+            done;
+            touch s (base + (eb * !idx)))
+      prog.accesses
+  in
+  let iteration () =
+    body ();
+    for a = 0 to Array.length touches - 1 do
+      (Array.unsafe_get touches a) ()
+    done
+  in
+  run_passes mem ~n k s (Vexec.Closure.nest st iteration)
 
+let path ?seed (mem : Descr.mem) ~n k =
+  match plan_of ?seed ~n ~line_bytes:mem.line_bytes k with
+  | Stream _ -> `Stream
+  | Compiled _ -> `Compiled
+  | Interpreted -> `Interpreted
+
+(* A trap in the compiled body stops at the same access as the
+   interpreter would, but the accesses simulated so far are discarded and
+   the reference reruns: it simulates them, then raises. *)
 let simulate ?seed (mem : Descr.mem) ~n (k : Kernel.t) =
-  match stream_of ?seed ~n ~line_bytes:mem.line_bytes k with
-  | None -> simulate_traced ?seed mem ~n k
-  | Some stream ->
+  match plan_of ?seed ~n ~line_bytes:mem.line_bytes k with
+  | Stream stream ->
       let s = new_sim mem in
-      run_passes mem ~n k s (fun () -> replay s stream)
+      run_passes mem ~n k s (fun () -> replay s ~line_bytes:mem.line_bytes stream)
+  | Compiled prog -> (
+      try simulate_compiled ?seed mem ~n k prog
+      with Vinterp.Env.Out_of_bounds _ | Invalid_argument _ | Division_by_zero ->
+        simulate_traced ?seed mem ~n k)
+  | Interpreted -> simulate_traced ?seed mem ~n k
 
 (* The level the stream actually lives in: one past the deepest level with a
    non-trivial steady-state miss rate.  The 2% threshold sits below the 6.25%

@@ -106,8 +106,13 @@ let rec worker_loop pool =
           pool.alive <- pool.alive - 1;
           Mutex.unlock pool.mutex)
 
+(* Backtrace recording is per domain and starts off in a new one: a worker
+   inherits the spawning domain's setting, or [Task_failed.backtrace] would
+   come back empty for every task a worker ran. *)
 let spawn_worker pool =
+  let record = Printexc.backtrace_status () in
   Domain.spawn (fun () ->
+      Printexc.record_backtrace record;
       Domain.DLS.set in_worker true;
       worker_loop pool)
 

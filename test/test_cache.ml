@@ -159,7 +159,7 @@ let all_affine (k : Vir.Kernel.t) =
 let same_as_traced mem ~n k =
   let name = Printf.sprintf "%s n=%d" k.Vir.Kernel.name n in
   check (name ^ " streams iff all accesses are affine") (all_affine k)
-    (T.streams mem ~n k);
+    (T.path mem ~n k = `Stream);
   let s = T.simulate mem ~n k in
   check (name ^ " stats equal the traced reference") true
     (s = T.simulate_traced mem ~n k);
@@ -195,9 +195,130 @@ let test_stream_out_of_bounds_traps () =
   B.declare b ~extent:(Vir.Kernel.Lin (1, 0)) "b";
   B.store b "a" [ B.ix i ] (B.load b "b" [ B.ix ~off:1 i ]);
   let k = B.finish b in
-  check "not streamed" false (T.streams mem ~n:64 k);
+  check "not streamed" true (T.path mem ~n:64 k = `Compiled);
   Alcotest.check_raises "simulate traps" (Vinterp.Env.Out_of_bounds ("b", 64))
     (fun () -> ignore (T.simulate mem ~n:64 k))
+
+(* Six f32 arrays of n + 1 elements: at n = 1791 each array plus its
+   16-line gap is exactly one 8 KiB way of the 32 KiB 4-way L1, so all six
+   lines of an iteration fall in one set and evict each other.  Every line
+   is resident right after its own access but not at the end of the
+   iteration, so no run of iterations may be skipped as L1 hits. *)
+let test_aliasing_lines_thrash () =
+  let module B = Vir.Builder in
+  let b = B.make "alias6" in
+  let i = B.loop b "i" Vir.Kernel.Tn in
+  List.iter
+    (fun a -> B.declare b ~extent:(Vir.Kernel.Lin (1, 1)) a)
+    [ "a"; "b"; "c"; "d"; "e"; "f" ];
+  let ld a = B.load b a [ B.ix i ] in
+  let sum =
+    List.fold_left (fun acc a -> B.addf b acc (ld a)) (ld "b") [ "c"; "d"; "e"; "f" ]
+  in
+  B.store b "a" [ B.ix i ] sum;
+  let k = B.finish b in
+  let n = 1791 in
+  check "streamed" true (T.path mem ~n k = `Stream);
+  let s = T.simulate mem ~n k in
+  check "equals the traced reference" true (s = T.simulate_traced mem ~n k);
+  match s.T.per_level with
+  | (Mem.L1, accs, misses) :: _ ->
+      check_int "L1 accesses" (6 * n) accs;
+      check_int "every L1 access misses" (6 * n) misses
+  | _ -> Alcotest.fail "no L1 level"
+
+let outcome f = try Ok (f ()) with e -> Error (Printexc.to_string e)
+
+(* Random hierarchies, non-power-of-two lines and set counts included,
+   under random synthetic kernels (single loops with gathers, and 2-d
+   nests) at odd sizes: [simulate] must equal the reference, exceptions
+   included. *)
+let mem_gen =
+  QCheck.Gen.(
+    map
+      (fun (line, (s1, s2, s3)) ->
+        { mem with
+          Vmachine.Descr.line_bytes = line;
+          l1_bytes = line * 4 * s1;
+          l2_bytes = line * 8 * s2;
+          l3_bytes = (if s3 = 0 then 0 else line * 16 * s3) })
+      (pair (oneofl [ 16; 24; 32; 48; 64; 96; 128 ])
+         (triple (int_range 1 12) (int_range 1 24) (int_range 0 6))))
+
+let prop_simulate_random_geometry =
+  QCheck.Test.make ~count:150 ~name:"simulate = traced on random geometries"
+    (QCheck.make
+       ~print:(fun (m, seed, nest, n) ->
+         Printf.sprintf "line %d l1 %d l2 %d l3 %d, %s %d, n = %d"
+           m.Vmachine.Descr.line_bytes m.l1_bytes m.l2_bytes m.l3_bytes
+           (if nest then "nest_kernel" else "kernel") seed n)
+       QCheck.Gen.(
+         quad mem_gen (int_bound 10_000) bool
+           (map (fun h -> (2 * h) + 5) (int_bound 200))))
+    (fun (m, seed, nest, n) ->
+      let k =
+        if nest then Vsynth.Generator.nest_kernel seed
+        else Vsynth.Generator.kernel seed
+      in
+      outcome (fun () -> T.simulate m ~n k)
+      = outcome (fun () -> T.simulate_traced m ~n k))
+
+(* --- the compiled-body path ---------------------------------------------- *)
+
+let same_outcome name ~n k =
+  check (name ^ " runs compiled") true (T.path mem ~n k = `Compiled);
+  let got = outcome (fun () -> T.simulate mem ~n k) in
+  let want = outcome (fun () -> T.simulate_traced mem ~n k) in
+  check (name ^ " raises") true (Result.is_error want);
+  check (name ^ " raises as the reference does") true (got = want)
+
+(* A gather one past the end: ip is a permutation of [0, n), so exactly
+   one iteration, partway through the first pass, reads b[n]. *)
+let test_compiled_gather_traps () =
+  let module B = Vir.Builder in
+  let b = B.make "gather_oob" in
+  let i = B.loop b "i" Vir.Kernel.Tn in
+  B.declare b ~extent:(Vir.Kernel.Lin (1, 0)) "b";
+  let idx = B.load_index b "ip" [ B.ix i ] in
+  B.store b "a" [ B.ix i ] (B.load_ix b "b" (B.addi b idx (B.ci 1)));
+  same_outcome "gather b[ip[i]+1]" ~n:200 (B.finish b)
+
+(* Integer division by zero: by a parameter that converts to 1, minus 1,
+   and by an index-array element (the permutation holds one 0). *)
+let test_compiled_division_traps () =
+  let module B = Vir.Builder in
+  let div name divisor =
+    let b = B.make name in
+    let i = B.loop b "i" Vir.Kernel.Tn in
+    let q = B.bin b Vir.Types.I32 Vir.Op.Div i (divisor b i) in
+    B.store b "a" [ B.ix i ] (B.cast b ~from_:Vir.Types.I32 ~to_:Vir.Types.F32 q);
+    same_outcome name ~n:200 (B.finish b)
+  in
+  div "div_param" (fun b _ -> B.subi b (B.param b "p") (B.ci 1));
+  div "div_index" (fun b i -> B.load_index b "ip" [ B.ix i ])
+
+(* Every registry kernel at the A6 size takes the stream or the compiled
+   path, and none raises.  A compiled kernel falls back to the interpreter
+   only on a trap, which [simulate] re-raises, so a run that returns never
+   used the interpreter. *)
+let test_registry_census () =
+  let n = 32000 in
+  let count p =
+    List.length
+      (List.filter
+         (fun (e : Tsvc.Registry.entry) -> T.path mem ~n e.kernel = p)
+         Tsvc.Registry.all)
+  in
+  check_int "streamed" 137 (count `Stream);
+  check_int "compiled" 14 (count `Compiled);
+  check_int "interpreted" 0 (count `Interpreted);
+  List.iter
+    (fun (e : Tsvc.Registry.entry) ->
+      check
+        (e.kernel.Vir.Kernel.name ^ " does not raise")
+        true
+        (Result.is_ok (outcome (fun () -> T.simulate mem ~n e.kernel))))
+    Tsvc.Registry.all
 
 (* --- flat cache vs the array-of-arrays original ------------------------- *)
 
@@ -326,5 +447,11 @@ let tests =
       test_stream_matches_traced_deep;
     Alcotest.test_case "stream out of bounds traps" `Quick
       test_stream_out_of_bounds_traps;
+    Alcotest.test_case "aliasing lines thrash" `Quick test_aliasing_lines_thrash;
+    QCheck_alcotest.to_alcotest prop_simulate_random_geometry;
+    Alcotest.test_case "compiled gather traps" `Quick test_compiled_gather_traps;
+    Alcotest.test_case "compiled division traps" `Quick
+      test_compiled_division_traps;
+    Alcotest.test_case "registry census" `Slow test_registry_census;
     QCheck_alcotest.to_alcotest prop_flat_single_level;
     QCheck_alcotest.to_alcotest prop_flat_hierarchy ]

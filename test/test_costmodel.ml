@@ -73,6 +73,27 @@ let test_rated_prop =
 
 (* --- baseline ------------------------------------------------------------ *)
 
+(* The one-chain feature build equals the four separate calls, bit for
+   bit, on every registry kernel. *)
+let test_layers_match_separate_calls () =
+  let bits a = Array.map Int64.bits_of_float a in
+  let n = Tsvc.Registry.default_n in
+  List.iter
+    (fun (e : Tsvc.Registry.entry) ->
+      let k = e.kernel in
+      let vf = max 2 (Vmachine.Descr.vf_for_kernel Vmachine.Machines.neon_a57 k) in
+      let l = F.layers ~n ~vf k in
+      let same what got want =
+        check (k.Vir.Kernel.name ^ " " ^ what) true (bits got = bits want)
+      in
+      same "normalized counts" (F.counts l.normalized)
+        (F.counts (Vanalysis.Opt.normalize k));
+      same "absint" l.absint (F.absint ~n ~vf k);
+      same "opt" l.opt (F.opt ~n ~vf k);
+      same "deps" l.deps (F.deps ~n ~vf k);
+      same "cert" l.cert (F.cert ~n ~vf k))
+    Tsvc.Registry.all
+
 let test_baseline_positive () =
   List.iter
     (fun (k : Vir.Kernel.t) ->
@@ -283,6 +304,8 @@ let tests =
     Alcotest.test_case "vcounts contiguous" `Quick test_vcounts_contig;
     Alcotest.test_case "vcounts gather" `Quick test_vcounts_gather_expanded;
     QCheck_alcotest.to_alcotest test_rated_prop;
+    Alcotest.test_case "feature layers = separate calls" `Quick
+      test_layers_match_separate_calls;
     Alcotest.test_case "baseline positive" `Quick test_baseline_positive;
     Alcotest.test_case "baseline bounded" `Quick test_baseline_speedup_bounded;
     Alcotest.test_case "baseline gather" `Quick test_baseline_gather_cheaper_prediction;
