@@ -414,6 +414,7 @@ let bench_json out =
         s
   in
   let stats = Dataset.cache_stats () in
+  let rstats = Dataset.run_stats () in
   let lstats = Experiment.loocv_cache_stats () in
   let serial_total = List.fold_left (fun a (_, s, _) -> a +. s) 0.0 rows in
   (* The Opt pipeline over the full TSVC + apps registry: wall time plus
@@ -714,6 +715,10 @@ let bench_json out =
        stats.Dataset.hits stats.Dataset.misses stats.Dataset.entries);
   Buffer.add_string b
     (Printf.sprintf
+       "  \"run_memo\": {\"hits\": %d, \"misses\": %d, \"entries\": %d},\n"
+       rstats.Dataset.hits rstats.Dataset.misses rstats.Dataset.entries);
+  Buffer.add_string b
+    (Printf.sprintf
        "  \"loocv_cache\": {\"hits\": %d, \"misses\": %d, \"entries\": %d}\n}\n"
        lstats.Dataset.hits lstats.Dataset.misses lstats.Dataset.entries);
   Report.write_file out (Buffer.contents b);
@@ -727,7 +732,9 @@ let bench_json out =
    must beat the tree-walking interpreter by at least 3x on cold
    Dataset.build, or the execution engine has regressed into
    interpretation.  The threshold is deliberately far below the steady
-   10x+ so scheduler noise on shared CI runners cannot flake it. *)
+   10x+ so scheduler noise on shared CI runners cannot flake it.  The
+   builds run with the cache disabled, so the run memo must stay untouched:
+   a memo hit would time a table lookup instead of an execution. *)
 let exec_smoke () =
   let machine = Vmachine.Machines.neon_a57 in
   let entries = List.filteri (fun i _ -> i < 24) Tsvc.Registry.all in
@@ -742,14 +749,25 @@ let exec_smoke () =
   (* One throwaway closure build first so allocation and code paths are
      warm for both timed runs. *)
   ignore (build Vexec.Backend.Closure);
+  let memo_before = Dataset.run_stats () in
   let interp = build Vexec.Backend.Interp in
   let closure = build Vexec.Backend.Closure in
+  let memo_after = Dataset.run_stats () in
   Dataset.set_cache_enabled true;
   Vpar.Pool.set_sequential false;
   let speedup = interp /. Float.max 1e-9 closure in
   Printf.printf
     "exec-smoke: %d kernels at n = %d: interp %.4fs, closure %.4fs (%.1fx)\n"
     (List.length entries) n interp closure speedup;
+  if memo_after <> memo_before then begin
+    Printf.printf
+      "exec-smoke: FAIL: the run memo moved during the timed builds (%d \
+       hits, %d misses, %d entries): they did not all execute\n"
+      (memo_after.hits - memo_before.hits)
+      (memo_after.misses - memo_before.misses)
+      (memo_after.entries - memo_before.entries);
+    exit 1
+  end;
   if speedup < 3.0 then begin
     Printf.printf
       "exec-smoke: FAIL: closure tier under 3x over the interpreter\n";

@@ -164,7 +164,7 @@ type build_outcome =
   | Not_vectorizable
   | Quarantined of string
 
-let build_one ~noise_amp ~seed ~repeats ~backend ~(machine : Vmachine.Descr.t)
+let build_one ~noise_amp ~seed ~repeats ~execute ~(machine : Vmachine.Descr.t)
     ~transform ~n (e : Tsvc.Registry.entry) =
   let k = e.kernel in
   let vf = Vmachine.Descr.vf_for_kernel machine k in
@@ -176,10 +176,11 @@ let build_one ~noise_amp ~seed ~repeats ~backend ~(machine : Vmachine.Descr.t)
         match robust_speedup ~noise_amp ~seed ~repeats ~machine ~n vk with
         | Error reason -> Quarantined reason
         | Ok m ->
-            (* Actually execute the scalar kernel on the selected backend;
-               the repeats reuse one environment via [Env.reset] and the
+            (* Actually execute the scalar kernel on the selected backend
+               (or take the run memo's record of that execution); the
+               repeats reuse one environment via [Env.reset] and the
                digest is checked for stability across them. *)
-            let ex = Vmachine.Measure.execute ~backend ~seed ~repeats ~n k in
+            let ex = execute k in
             let sest = Vmachine.Sched.scalar_estimate machine ~n k in
             let vest = Vmachine.Sched.vector_estimate machine ~n vk in
             (* Independent noise draws for the block-cost targets. *)
@@ -204,7 +205,8 @@ let build_one ~noise_amp ~seed ~repeats ~backend ~(machine : Vmachine.Descr.t)
                 deps = fl.deps;
                 cert = fl.cert;
                 vraw = Feature.vcounts vk;
-                exec_backend = Vexec.Backend.to_string backend;
+                exec_backend =
+                  Vexec.Backend.to_string ex.Vmachine.Measure.exec_backend;
                 exec_digest = ex.Vmachine.Measure.exec_digest;
                 measured = m.speedup;
                 scalar_cycles_iter = sest.Vmachine.Sched.cycles *. nf "#s";
@@ -224,30 +226,45 @@ let build_one ~noise_amp ~seed ~repeats ~backend ~(machine : Vmachine.Descr.t)
    name), the machine's plain-data fields, the transform, the full config
    (n, noise_amp, seed, repeats) and the active fault plan — a plan change
    must never serve samples built under a different plan.  The VF is
-   derived from (machine, kernel) and therefore implied by the key. *)
+   derived from (machine, kernel) and therefore implied by the key.
+
+   Under it sits the run memo: the scalar execution ([Measure.execute])
+   reads the kernel, n, seed, repeats, backend and fault plan, but neither
+   the machine nor the transform, so a sweep over machines x transforms
+   runs each kernel once per (n, seed) and the other samples take the
+   recorded execution.  Both levels share one lock, one lifecycle and one
+   switch. *)
 
 type cache_stats = { hits : int; misses : int; entries : int }
 
 let cache : (string, build_outcome) Hashtbl.t = Hashtbl.create 1024
+let runs : (string, Vmachine.Measure.execution) Hashtbl.t = Hashtbl.create 256
 let cache_mutex = Mutex.create ()
 let cache_enabled = Atomic.make true
 let cache_hits = Atomic.make 0
 let cache_misses = Atomic.make 0
+let run_hits = Atomic.make 0
+let run_misses = Atomic.make 0
 
 let set_cache_enabled b = Atomic.set cache_enabled b
 
 let cache_clear () =
   Mutex.lock cache_mutex;
   Hashtbl.reset cache;
+  Hashtbl.reset runs;
   Mutex.unlock cache_mutex;
-  Atomic.set cache_hits 0;
-  Atomic.set cache_misses 0
+  List.iter
+    (fun c -> Atomic.set c 0)
+    [ cache_hits; cache_misses; run_hits; run_misses ]
 
-let cache_stats () =
+let stats_of table hits misses =
   Mutex.lock cache_mutex;
-  let entries = Hashtbl.length cache in
+  let entries = Hashtbl.length table in
   Mutex.unlock cache_mutex;
-  { hits = Atomic.get cache_hits; misses = Atomic.get cache_misses; entries }
+  { hits = Atomic.get hits; misses = Atomic.get misses; entries }
+
+let cache_stats () = stats_of cache cache_hits cache_misses
+let run_stats () = stats_of runs run_hits run_misses
 
 (* The op tables of a machine are closures and cannot be digested; every
    other field is plain data.  Builtin machines differ in name, and
@@ -266,11 +283,11 @@ let machine_fingerprint (d : Vmachine.Descr.t) =
          string_of_int d.loop_uops;
          string_of_float d.vec_setup_cycles ])
 
-let sample_key ~noise_amp ~seed ~repeats ~backend ~machine ~transform ~n
-    (e : Tsvc.Registry.entry) =
+let sample_key ~kdigest ~noise_amp ~seed ~repeats ~backend ~machine
+    ~transform ~n (e : Tsvc.Registry.entry) =
   Digest.string
     (String.concat "|"
-       [ Digest.string (Marshal.to_string e.Tsvc.Registry.kernel []);
+       [ kdigest;
          Tsvc.Category.to_string e.category;
          machine_fingerprint machine;
          transform_to_string transform;
@@ -282,6 +299,39 @@ let sample_key ~noise_amp ~seed ~repeats ~backend ~machine ~transform ~n
             execution digest another backend produced. *)
          "exec:" ^ Vexec.Backend.to_string backend;
          Vfault.Plan.to_string (Vfault.Inject.active ()) ])
+
+(* Everything [Measure.execute] reads.  The fault plan is in because its
+   [sanitize.poison] site fires inside the execution. *)
+let run_key ~kdigest ~seed ~repeats ~backend ~n =
+  Digest.string
+    (String.concat "|"
+       [ kdigest;
+         string_of_int n;
+         string_of_int seed;
+         string_of_int repeats;
+         Vexec.Backend.to_string backend;
+         Vfault.Plan.to_string (Vfault.Inject.active ()) ])
+
+(* A hit runs nothing, so the sanitizer's measure-site check only ever
+   sees first executions; a raising execution is never recorded.  The
+   entries of one [build] call are distinct kernels (no registry lists a
+   kernel twice), hence distinct run keys, so no two concurrent tasks race
+   on one key and the counters do not depend on the worker count. *)
+let execute_memo key ~backend ~seed ~repeats ~n k =
+  Mutex.lock cache_mutex;
+  let found = Hashtbl.find_opt runs key in
+  Mutex.unlock cache_mutex;
+  match found with
+  | Some ex ->
+      Atomic.incr run_hits;
+      ex
+  | None ->
+      Atomic.incr run_misses;
+      let ex = Vmachine.Measure.execute ~backend ~seed ~repeats ~n k in
+      Mutex.lock cache_mutex;
+      Hashtbl.replace runs key ex;
+      Mutex.unlock cache_mutex;
+      ex
 
 let record_outcome ~machine ~transform name = function
   | Quarantined reason ->
@@ -297,23 +347,32 @@ let build_one_cached ~noise_amp ~seed ~repeats ~backend
   let kname = e.Tsvc.Registry.kernel.Kernel.name in
   let outcome =
     if not (Atomic.get cache_enabled) then
-      build_one ~noise_amp ~seed ~repeats ~backend ~machine ~transform ~n e
+      build_one ~noise_amp ~seed ~repeats
+        ~execute:(Vmachine.Measure.execute ~backend ~seed ~repeats ~n)
+        ~machine ~transform ~n e
     else begin
-      let key =
-        sample_key ~noise_amp ~seed ~repeats ~backend ~machine ~transform ~n e
+      let kdigest =
+        Digest.string (Marshal.to_string e.Tsvc.Registry.kernel [])
       in
+      let key =
+        sample_key ~kdigest ~noise_amp ~seed ~repeats ~backend ~machine
+          ~transform ~n e
+      in
+      let rkey = run_key ~kdigest ~seed ~repeats ~backend ~n in
       Mutex.lock cache_mutex;
       let found = Hashtbl.find_opt cache key in
       Mutex.unlock cache_mutex;
       let found =
         (* Simulated storage corruption: the entry fails its checksum, is
-           evicted, and the sample is rebuilt from scratch. *)
+           evicted, and the sample is rebuilt from scratch — its execution
+           included, so the run entry goes too. *)
         match found with
         | Some _
           when Vfault.Inject.cache_corrupt ~key:(Digest.to_hex key) ->
             Atomic.incr cache_corruptions;
             Mutex.lock cache_mutex;
             Hashtbl.remove cache key;
+            Hashtbl.remove runs rkey;
             Mutex.unlock cache_mutex;
             None
         | f -> f
@@ -325,8 +384,9 @@ let build_one_cached ~noise_amp ~seed ~repeats ~backend
       | None ->
           Atomic.incr cache_misses;
           let v =
-            build_one ~noise_amp ~seed ~repeats ~backend ~machine ~transform ~n
-              e
+            build_one ~noise_amp ~seed ~repeats
+              ~execute:(execute_memo rkey ~backend ~seed ~repeats ~n)
+              ~machine ~transform ~n e
           in
           Mutex.lock cache_mutex;
           Hashtbl.replace cache key v;

@@ -42,10 +42,11 @@ val apply_transform :
     machine's natural VF.  Entries are built on the shared domain pool
     through {!Vpar.Pool.supervised_map} (task failures, injected worker
     crashes and timeouts quarantine the sample instead of aborting the
-    run) and memoized in a process-wide content-keyed cache (kernel
-    content, machine, transform, n, noise_amp, seed, repeats, active
-    fault plan), so experiments sharing a (machine, transform, config)
-    combination pay for vectorization and machine-model measurement once.
+    run) and memoized in the two-level process-wide cache described under
+    {!cache_stats}, so experiments sharing a (machine, transform, config)
+    combination pay for vectorization and machine-model measurement once,
+    and a sweep over machines and transforms executes each scalar kernel
+    once per (n, seed).
 
     [?repeats] (default 1) measures the speedup k times under derived
     seeds, rejects repeats outside 3.5 normalized MADs of the median, and
@@ -88,20 +89,50 @@ val health : unit -> health
 
 val health_reset : unit -> unit
 
-(** {2 Sample cache introspection} *)
+(** {2 Cache introspection}
+
+    The cache has two content-keyed levels.  Both are keyed on a digest of
+    the kernel's content, never on its name alone.
+
+    - The {e sample cache} holds one build outcome per key: kernel content,
+      category, machine (its plain-data fields), transform, n, noise_amp,
+      seed, repeats, backend and active fault plan.  Outcomes include
+      negative entries for non-vectorizable and quarantined kernels.
+    - The {e run memo} under it holds one {!Vmachine.Measure.execution} per
+      key: kernel content, n, seed, repeats, backend and active fault plan.
+      The key omits the machine, transform, noise_amp and category: the
+      scalar execution reads none of them.  A sample-cache miss takes its execution from
+      here, so samples of one kernel on different machines and transforms
+      share one execution.  A hit runs nothing (so the sanitizer's
+      measure-site check sees first executions only); an execution that
+      raises is not recorded.
+
+    Both levels share one lifecycle: {!cache_clear} empties both, and
+    {!set_cache_enabled} [false] bypasses both.  When a corrupted sample
+    is evicted ([cache.corrupt] fault), its run entry is dropped too, so
+    the rebuild re-executes.  The entries of one {!build} call are
+    distinct kernels (no registry lists a kernel twice) and so hold
+    distinct run keys: no two concurrent tasks race on one key, and every
+    counter is the same at any worker count. *)
 
 type cache_stats = { hits : int; misses : int; entries : int }
 
-(** Hit/miss counters since the last {!cache_clear}, plus the live entry
-    count (one per cached (kernel, machine, transform, config) key,
-    including negative entries for non-vectorizable kernels). *)
+(** Sample-cache hit/miss counters since the last {!cache_clear}, plus the
+    live entry count (one per cached (kernel, machine, transform, config)
+    key, including negative entries for non-vectorizable kernels). *)
 val cache_stats : unit -> cache_stats
 
-(** Drop every cached sample and reset the counters. *)
+(** Run-memo counters since the last {!cache_clear}: a miss is one scalar
+    execution, a hit is a sample that reused one, and [entries] is the
+    number of recorded executions. *)
+val run_stats : unit -> cache_stats
+
+(** Drop every cached sample and recorded execution and reset the
+    counters of both levels. *)
 val cache_clear : unit -> unit
 
-(** Disable or re-enable memoization (used to time cold baselines).
-    Enabled by default; when disabled the counters do not move. *)
+(** Disable or re-enable memoization at both levels (used to time cold
+    baselines).  Enabled by default; when disabled no counter moves. *)
 val set_cache_enabled : bool -> unit
 
 (** Which execution backend produced the cached samples currently live in

@@ -170,8 +170,9 @@ let histogram ?(ppf = std) ?(bins = 12) ?(width = 40) ~label (xs : float array) 
   end
 
 (* --- sample-cache report ---------------------------------------------------
-   One line summarizing Dataset's memo cache, printed by the CLI's
-   [cachestats] subcommand and by the bench harness after a run. *)
+   One line for each level of Dataset's memo cache (samples, then scalar
+   runs), printed by the CLI's [cachestats] subcommand and by the bench
+   harness after a run. *)
 
 let cache_stats_string () =
   let s = Dataset.cache_stats () in
@@ -188,6 +189,9 @@ let cache_stats_string () =
         ^ String.concat ", "
             (List.map (fun (b, n) -> Printf.sprintf "%s %d" b n) per_backend)
   in
+  let r = Dataset.run_stats () in
   Printf.sprintf
-    "sample cache: %d hits, %d misses (%.1f%% hit rate), %d live entries%s"
+    "sample cache: %d hits, %d misses (%.1f%% hit rate), %d live entries%s\n\
+     run memo: %d hits, %d misses, %d entries"
     s.Dataset.hits s.Dataset.misses rate s.Dataset.entries backends
+    r.Dataset.hits r.Dataset.misses r.Dataset.entries

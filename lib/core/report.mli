@@ -41,6 +41,7 @@ val histogram :
   ?ppf:Format.formatter -> ?bins:int -> ?width:int -> label:string ->
   float array -> unit
 
-(** One-line summary of the sample memo cache (hits, misses, hit rate,
-    live entries) since the last [Dataset.cache_clear]. *)
+(** Two-line summary of the memo cache since the last
+    [Dataset.cache_clear]: the sample cache (hits, misses, hit rate, live
+    entries), then the run memo (hits, misses, entries). *)
 val cache_stats_string : unit -> string

@@ -36,5 +36,6 @@ let () =
       ("crosscheck", Test_crosscheck.tests);
       ("absint", Test_absint.tests);
       ("par", Test_par.tests);
+      ("runmemo", Test_runmemo.tests);
       ("fault", Test_fault.tests);
       ("serve", Test_serve.tests) ]
